@@ -9,7 +9,7 @@ namespace dmr {
 
 DmrEngine::DmrEngine(const arch::GpuConfig &gpu, const DmrConfig &cfg,
                      func::Executor &exec, std::uint64_t seed)
-    : gpu_(gpu), cfg_(cfg), exec_(exec), hookIsNull_(exec.hookIsNull()),
+    : gpu_(gpu), cfg_(cfg), exec_(exec),
       mapping_(cfg.mapping, gpu.warpSize, gpu.lanesPerCluster),
       queue_(cfg.replayQSize, gpu.warpSize), rng_(seed)
 {
@@ -263,12 +263,15 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
     const unsigned n_clusters = gpu_.clustersPerWarp();
     const LaneMask lane_active = mapping_.toLaneSpace(rec.active);
 
-    // Fault-free fast path: re-execute every slot at once with the
+    // Quiet-hook fast path: when the hook is the identity on this SM
+    // at this cycle, re-execute every slot at once with the
     // vectorized plane compute; the RFU pairing below then compares
     // plane entries instead of re-running computeLane + the virtual
-    // hook per monitored lane. Identical statistics and (impossible
-    // here) mismatches fall back to the full per-slot comparator.
-    if (hookIsNull_) {
+    // hook per monitored lane. Statistics are identical, and any
+    // mismatch (a record that already carries a corrupted value)
+    // falls back to the full per-slot comparator, which detects it.
+    const bool quiet = exec_.hook().quietAt(exec_.smId(), now);
+    if (quiet) {
         func::Executor::computePlane(rec.instr, rec.operands,
                                      rec.laneInfo, gpu_.warpSize,
                                      verifyPlane_.data());
@@ -288,7 +291,7 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
             const unsigned monitored_lane = c * w + verifies[m];
             const unsigned checker_lane = c * w + m;
             const unsigned slot = mapping_.slotOf(monitored_lane);
-            if (hookIsNull_ &&
+            if (quiet &&
                 verifyPlane_[slot] == rec.results[slot]) [[likely]] {
                 ++stats_.comparisons;
             } else {
@@ -319,13 +322,15 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
     unsigned verified = 0;
     bool mismatch = false;
 
-    // Fault-free fast path: re-execute all slots with the vectorized
+    // Quiet-hook fast path: when the hook is the identity on this SM
+    // at @p now (drainAll passes now + cycles, so the predicate is
+    // evaluated per call), re-execute all slots with the vectorized
     // plane compute and run the comparator as one masked bulk
     // compare. Semantically identical to the per-slot loop below —
     // same comparison/redundant-exec counts, same events — it only
     // skips the virtual hook dispatch that is known to be identity.
     bool fast_clean = false;
-    if (hookIsNull_) {
+    if (exec_.hook().quietAt(exec_.smId(), now)) {
         func::Executor::computePlane(rec.instr, rec.operands,
                                      rec.laneInfo, ws,
                                      verifyPlane_.data());
@@ -343,10 +348,12 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
         stats_.comparisons += verified;
         stats_.redundantThreadExecs[unit] += verified;
     } else {
-        // A mismatch under the null hook is impossible (the plane
-        // compute is the function that produced the record), so this
-        // loop only runs for real fault hooks — per-slot dispatch in
-        // slot order, exactly as campaigns require.
+        // Runs on a live cycle, and on a quiet cycle whose bulk
+        // compare mismatched: the record carries a value corrupted on
+        // an earlier, live cycle. Per-slot dispatch in slot order,
+        // exactly as campaigns require; on a quiet cycle every apply()
+        // is the identity, so this loop detects that corruption
+        // exactly as the per-lane path always has.
         for (unsigned slot = 0; slot < ws; ++slot) {
             if (!rec.active.test(slot))
                 continue;

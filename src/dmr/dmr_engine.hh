@@ -174,11 +174,11 @@ class DmrEngine final : public protection::ProtectionScheme
     const arch::GpuConfig &gpu_;
     DmrConfig cfg_;
     func::Executor &exec_;
-    /** Fault-free machine (NullFaultHook): re-execution may use the
-     *  vectorized plane compute and a masked bulk compare instead of
-     *  per-slot virtual hook dispatch. Mirrors Executor::hookIsNull(). */
-    bool hookIsNull_;
-    /** Scratch plane for the fast re-execute-and-compare path. */
+    /** Scratch plane for the fast re-execute-and-compare path, taken
+     *  whenever the hook is quiet at the verifying cycle
+     *  (FaultHook::quietAt): re-execution then uses the vectorized
+     *  plane compute and a masked bulk compare instead of per-slot
+     *  virtual hook dispatch. */
     std::array<RegValue, func::kMaxWarp> verifyPlane_{};
     ThreadCoreMapping mapping_;
     ReplayQueue queue_;

@@ -547,8 +547,15 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
             // the kernel; give it a generous multiple of the
             // fault-free span.
             const Cycle watchdog = span * 20 + 100000;
+            // With recovery off the first detection is the verdict:
+            // classifyOutcome returns Detected whatever the output or
+            // a later hang, and the latency reads only the first
+            // errorLog entry, so the launch may stop there
+            // (docs/FAULT_MODEL.md, "Exact campaign shortcuts").
             const auto r = g.launch(w->program(), w->gridBlocks(),
-                                    w->blockThreads(), watchdog);
+                                    w->blockThreads(), watchdog,
+                                    /*stop_at_detection=*/
+                                    !cfg.recovery.enabled);
 
             rec.activated = injector.activations() > 0;
             const bool detected = r.dmr.errorsDetected > 0;

@@ -49,6 +49,15 @@ FaultInjector::apply(RegValue pure, const func::FaultCtx &ctx)
     return out;
 }
 
+bool
+FaultInjector::quietAt(unsigned sm, Cycle now) const
+{
+    for (const auto &f : faults_)
+        if (f.sm == sm && f.cycleBegin <= now && now <= f.cycleEnd)
+            return false;
+    return true;
+}
+
 RandomFaultHook::RandomFaultHook(double per_value_prob,
                                  std::uint64_t seed)
     : prob_(per_value_prob), seed_(seed), rng_(seed)

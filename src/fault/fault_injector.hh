@@ -77,6 +77,12 @@ class FaultInjector final : public func::FaultHook
 
     RegValue apply(RegValue pure, const func::FaultCtx &ctx) override;
 
+    /** Quiet unless some fault sits on SM @p sm with @p now inside
+     *  its [cycleBegin, cycleEnd] window: a one-cycle transient is
+     *  live for one cycle on one SM, a stuck-at for the whole run on
+     *  its own SM only. */
+    bool quietAt(unsigned sm, Cycle now) const override;
+
     /** Times a fault actually changed a produced value. */
     std::uint64_t activations() const { return activations_; }
 

@@ -49,8 +49,7 @@ NullFaultHook::instance()
 
 Executor::Executor(const arch::GpuConfig &cfg, unsigned sm_id,
                    mem::Memory &global, FaultHook &hook)
-    : cfg_(cfg), smId_(sm_id), global_(global), hook_(&hook),
-      hookIsNull_(dynamic_cast<NullFaultHook *>(&hook) != nullptr)
+    : cfg_(cfg), smId_(sm_id), global_(global), hook_(&hook)
 {
 }
 
@@ -386,11 +385,12 @@ Executor::stepInto(arch::WarpContext &warp, const isa::Program &prog,
         // plane compute is skipped for them entirely).
         computePlane(in, rec.operands, rec.laneInfo, ws,
                      rec.results.data());
-        if (!hookIsNull_) {
-            // Real fault boundary: per-slot virtual dispatch, in slot
+        if (!hook_->quietAt(smId_, now)) {
+            // Live fault boundary: per-slot virtual dispatch, in slot
             // order, exactly the sequence the campaign hooks saw
             // before the plane split — fault campaigns stay
-            // byte-identical.
+            // byte-identical. A quiet cycle (the null hook, or an
+            // injector outside its window) keeps the plane results.
             FaultCtx ctx;
             ctx.sm = smId_;
             ctx.unit = in.unit();

@@ -195,18 +195,11 @@ class Executor
     unsigned smId() const { return smId_; }
     FaultHook &hook() { return *hook_; }
 
-    /** True when the fault boundary is the NullFaultHook: the hook is
-     *  the identity, so execution and DMR re-execution may take the
-     *  vectorized plane path with no per-lane virtual dispatch.
-     *  Detected once at construction. */
-    bool hookIsNull() const { return hookIsNull_; }
-
   private:
     const arch::GpuConfig &cfg_;
     unsigned smId_;
     mem::Memory &global_;
     FaultHook *hook_;
-    bool hookIsNull_;
 };
 
 } // namespace func

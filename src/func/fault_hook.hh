@@ -10,6 +10,16 @@
  * run on different physical lanes (RFU pairing, lane shuffling), a
  * per-lane fault makes them disagree — which is exactly what the
  * paper's comparator detects.
+ *
+ * Quiet cycles: a hook may declare, through quietAt(sm, now), that it
+ * is the identity for every value SM `sm` produces at cycle `now`.
+ * Execution and DMR verification then skip the per-lane apply() calls
+ * for that SM and cycle and take the vectorized plane path instead.
+ * The contract is strict: quietAt() may return true only if apply()
+ * would return its input unchanged, and change no hook state, for
+ * every FaultCtx with that sm and cycle. The default is false, so a
+ * hook that draws random numbers, counts calls or forwards to another
+ * hook stays on the per-lane reference path.
  */
 
 #ifndef WARPED_FUNC_FAULT_HOOK_HH
@@ -39,6 +49,14 @@ class FaultHook
     /** Transform the pure result into what the (possibly faulty)
      *  physical unit actually produces. */
     virtual RegValue apply(RegValue pure, const FaultCtx &ctx) = 0;
+
+    /** True when apply() is the identity, with no side effect, for
+     *  every value SM @p sm produces at cycle @p now (see the file
+     *  comment). Evaluated at the cycle of each call, never cached. */
+    virtual bool quietAt(unsigned /*sm*/, Cycle /*now*/) const
+    {
+        return false;
+    }
 };
 
 /** The fault-free machine. */
@@ -47,6 +65,8 @@ class NullFaultHook final : public FaultHook
   public:
     RegValue apply(RegValue pure, const FaultCtx &) override
     { return pure; }
+
+    bool quietAt(unsigned, Cycle) const override { return true; }
 
     /** Shared singleton. The hook carries no state, so one instance
      *  may be applied concurrently from any number of simulation

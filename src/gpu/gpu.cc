@@ -37,7 +37,8 @@ Gpu::Gpu(arch::GpuConfig cfg, dmr::DmrConfig dcfg, std::uint64_t seed,
 
 LaunchResult
 Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
-            unsigned block_threads, Cycle cycle_cap)
+            unsigned block_threads, Cycle cycle_cap,
+            bool stop_at_detection)
 {
     if (grid_blocks == 0 || block_threads == 0)
         warped_fatal("launch of '", prog.name(), "' with empty grid");
@@ -78,7 +79,7 @@ Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
         recorder.emplace(cfg_.numSms, cfg_.traceRingCapacity);
 
     LaunchLoop loop(sms, prog.name(), grid_blocks, block_threads,
-                    cycle_cap);
+                    cycle_cap, stop_at_detection);
     if (recorder)
         loop.attachRecorder(&*recorder);
     if (mem_.faultPlane()) [[unlikely]]

@@ -78,9 +78,17 @@ class Gpu
      *        exceeding it ends the launch with `hung` set, which
      *        fault-injection campaigns use to classify kernels whose
      *        control flow a fault destroyed.
+     * @param stop_at_detection end the launch after the first cycle
+     *        in which any SM's protection scheme has detected an
+     *        error. That cycle runs to its end on every SM, so the
+     *        detection counters and the first errorLog entry are
+     *        those of the full launch; everything later (cycles,
+     *        output memory, later detections) is not. Campaigns set
+     *        it where a detection is the final verdict.
      */
     LaunchResult launch(const isa::Program &prog, unsigned grid_blocks,
-                        unsigned block_threads, Cycle cycle_cap = 0);
+                        unsigned block_threads, Cycle cycle_cap = 0,
+                        bool stop_at_detection = false);
 
   private:
     arch::GpuConfig cfg_;

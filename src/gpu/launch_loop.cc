@@ -9,11 +9,25 @@ namespace gpu {
 LaunchLoop::LaunchLoop(std::vector<std::unique_ptr<sm::Sm>> &sms,
                        const std::string &kernel_name,
                        unsigned grid_blocks, unsigned block_threads,
-                       Cycle cycle_cap)
+                       Cycle cycle_cap, bool stop_at_detection)
     : sms_(sms), kernelName_(kernel_name), gridBlocks_(grid_blocks),
-      blockThreads_(block_threads), cycleCap_(cycle_cap)
+      blockThreads_(block_threads), cycleCap_(cycle_cap),
+      stopAtDetection_(stop_at_detection)
 {
 }
+
+namespace {
+
+bool
+anyDetected(const std::vector<std::unique_ptr<sm::Sm>> &sms)
+{
+    for (const auto &s : sms)
+        if (s->scheme().stats().errorsDetected > 0)
+            return true;
+    return false;
+}
+
+} // namespace
 
 void
 LaunchLoop::attachRecorder(trace::Recorder *rec)
@@ -67,6 +81,11 @@ LaunchLoop::run()
         if (!anything && next_block == gridBlocks_)
             break;
         ++cycle;
+        // Every SM has finished the cycle just ticked; when it
+        // detected an error and the caller only needs the first
+        // detection, nothing later can change the answer.
+        if (stopAtDetection_ && anyDetected(sms_))
+            break;
         if (cycleCap_ != 0 && cycle > cycleCap_) {
             hung = true;
             break;

@@ -44,12 +44,17 @@ class LaunchLoop
      * @param cycle_cap     0 = the default hard cap (exceeding it is
      *        fatal); > 0 = a watchdog budget — exceeding it ends the
      *        launch with hung set.
+     * @param stop_at_detection end the launch after the first cycle
+     *        in which any SM's scheme reports errorsDetected > 0
      */
     LaunchLoop(std::vector<std::unique_ptr<sm::Sm>> &sms,
                const std::string &kernel_name, unsigned grid_blocks,
-               unsigned block_threads, Cycle cycle_cap);
+               unsigned block_threads, Cycle cycle_cap,
+               bool stop_at_detection);
 
-    /** Dispatch and tick until every SM drains (or the watchdog). */
+    /** Dispatch and tick until every SM drains (or the watchdog, or
+     *  with stop_at_detection the end of the first detecting
+     *  cycle). */
     Outcome run();
 
     /**
@@ -77,6 +82,7 @@ class LaunchLoop
     unsigned gridBlocks_;
     unsigned blockThreads_;
     Cycle cycleCap_;
+    bool stopAtDetection_;
 };
 
 } // namespace gpu

@@ -46,6 +46,15 @@ struct GoldenCase
     std::unique_ptr<workloads::Workload> (*make)();
 };
 
+// Print a case as its label. gtest's default dump of the raw bytes
+// embeds pointer values, which change from run to run under ASLR, so
+// the discovered ctest names would never be stable.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 // Miniature instances: small enough that the goldens stay reviewable
 // text files, large enough to exercise divergence, barriers, both DMR
 // modes, and the ReplayQ.

@@ -129,8 +129,9 @@ main(int argc, char **argv)
             fault::planShards(orch.plannedSites(), shards);
         fault::ShardAggregator agg(orch.skeleton(), orch.signature(),
                                    orch.plannedSites(), shards);
+        fault::CampaignEngine worker(factoryFor(a), ec);
         for (const auto &p : plans)
-            agg.fold(fault::runShardInProcess(factoryFor(a), ec, p));
+            agg.fold(fault::runShard(worker, p));
         const auto json = agg.report().toJson();
         const double dt = secondsSince(t0);
         if (reference.empty())

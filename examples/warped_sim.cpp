@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -48,32 +49,6 @@
 using namespace warped;
 
 namespace {
-
-struct Options
-{
-    std::string workload = "all";
-    dmr::DmrConfig dmr = dmr::DmrConfig::paperDefault();
-    protection::SchemeConfig scheme;
-    unsigned numSms = 30;
-    unsigned cluster = 4;
-    unsigned schedulers = 1;
-    arch::SchedPolicy sched = arch::SchedPolicy::LooseRoundRobin;
-    bool bankConflicts = false;
-    bool coalescing = false;
-    bool contention = false;
-    unsigned warpSize = 32;
-    arch::MemModel memModel = arch::MemModel::Flat;
-    arch::EccKind ecc = arch::EccKind::None;
-    std::string kernelFile;
-    unsigned kblocks = 4, kthreads = 128;
-    bool disasm = false;
-    bool verbose = false;
-    bool report = false;
-    bool json = false;
-    unsigned trace = 0;
-    std::string traceOut;
-    std::string metricsOut;
-};
 
 /**
  * Output path for one workload's export: with a single workload the
@@ -149,7 +124,7 @@ campaignUsage()
         "  --out F             write the campaign report JSON to F\n"
         "  --sched lrr|gto     warp scheduling policy (default lrr)\n"
         "  --schedulers N      schedulers per SM (default 1)\n"
-        "  --dmr off | --no-intra | --no-inter | --no-shuffle |\n"
+        "  --dmr on|off | --no-intra | --no-inter | --no-shuffle |\n"
         "  --mapping linear|cross | --qsize N\n"
         "                      protection configuration under test\n"
         "  --scheme NAME       protection backend under test:\n"
@@ -281,6 +256,18 @@ serveUsage()
 
 void usage();
 
+/** Print the campaign-family or run-mode usage text and exit 2: the
+ *  contract of every malformed option. */
+[[noreturn]] void
+usageExit(bool campaign)
+{
+    if (campaign)
+        campaignUsage();
+    else
+        usage();
+    std::exit(2);
+}
+
 /**
  * Strict numeric flag parsing. Every numeric option goes through
  * these: the whole argument must be digits (no sign, no trailing
@@ -294,11 +281,7 @@ badNumericArg(const char *flag, const char *text, bool campaign)
 {
     std::fprintf(stderr, "warped_sim: bad numeric value '%s' for %s\n",
                  text ? text : "", flag);
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
+    usageExit(campaign);
 }
 
 std::uint64_t
@@ -372,11 +355,33 @@ parseHostPortArg(const char *flag, const char *text, std::string &host,
 }
 
 /**
- * Strict scheme-name resolution: only the canonical CLI slugs from
- * the protection registry are accepted; anything else prints the
- * valid set and the usage text and exits 2 (same contract as the
- * numeric options — no prefix or case forgiveness).
+ * Strict keyword resolution: @p text must be exactly one of @p names
+ * (no prefix or case forgiveness); anything else, a missing value
+ * included, prints the valid set and the usage text and exits 2.
+ * Returns the index of the matching name.
  */
+std::size_t
+parseKeywordArg(const char *flag, const char *text,
+                std::initializer_list<const char *> names,
+                bool campaign)
+{
+    std::size_t i = 0;
+    for (const char *name : names) {
+        if (text && std::strcmp(text, name) == 0)
+            return i;
+        ++i;
+    }
+    std::fprintf(stderr,
+                 "warped_sim: bad value '%s' for %s (expected one of:",
+                 text ? text : "", flag);
+    for (const char *name : names)
+        std::fprintf(stderr, " %s", name);
+    std::fprintf(stderr, ")\n");
+    usageExit(campaign);
+}
+
+/** Strict scheme-name resolution against the protection registry's
+ *  canonical CLI slugs (same contract as parseKeywordArg). */
 protection::SchemeId
 parseSchemeArg(const char *text, bool campaign)
 {
@@ -390,67 +395,111 @@ parseSchemeArg(const char *text, bool campaign)
     for (const auto id : protection::allSchemes())
         std::fprintf(stderr, " %s", protection::schemeCliName(id));
     std::fprintf(stderr, ")\n");
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
+    usageExit(campaign);
 }
 
-double
-parseProtectFracArg(const char *text, bool campaign)
+/**
+ * The machine and protection knobs run mode and the campaign family
+ * share. parseMachineArg is the one parse of their flags; each mode
+ * starts from its own defaults and applies the result to its own
+ * base machine.
+ */
+struct MachineFlags
 {
-    const double f = parseF64Arg("--protect-frac", text, campaign);
-    if (f < 0.0 || f > 1.0)
-        badNumericArg("--protect-frac (expects [0,1])",
-                      text, campaign);
-    return f;
-}
+    dmr::DmrConfig dmr = dmr::DmrConfig::paperDefault();
+    protection::SchemeConfig scheme;
+    unsigned sms = 30;
+    unsigned schedulers = 1;
+    arch::SchedPolicy sched = arch::SchedPolicy::LooseRoundRobin;
+    arch::MemModel memModel = arch::MemModel::Flat;
+    arch::EccKind ecc = arch::EccKind::None;
+};
 
-/** Strict `--mem-model` resolution: exactly "flat" or "banked",
- *  anything else exits 2 with usage (same contract as --scheme). */
-arch::MemModel
-parseMemModelArg(const char *text, bool campaign)
+/**
+ * Parse the shared machine flag at argv[i], advancing i past its
+ * value. Returns false when argv[i] is not one of them (the caller
+ * owns its mode-specific flags). Malformed or missing values exit 2
+ * with the caller's usage text.
+ */
+bool
+parseMachineArg(int argc, char **argv, int &i, MachineFlags &m,
+                bool campaign)
 {
-    if (text) {
-        if (std::strcmp(text, "flat") == 0)
-            return arch::MemModel::Flat;
-        if (std::strcmp(text, "banked") == 0)
-            return arch::MemModel::Banked;
+    const std::string a = argv[i];
+    auto next = [&]() -> const char * {
+        return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    if (a == "--dmr") {
+        if (parseKeywordArg("--dmr", next(), {"on", "off"}, campaign))
+            m.dmr = dmr::DmrConfig::off();
+    } else if (a == "--no-intra") {
+        m.dmr.intraWarp = false;
+    } else if (a == "--no-inter") {
+        m.dmr.interWarp = false;
+    } else if (a == "--no-shuffle") {
+        m.dmr.laneShuffle = false;
+    } else if (a == "--mapping") {
+        m.dmr.mapping = parseKeywordArg("--mapping", next(),
+                                        {"cross", "linear"}, campaign)
+                            ? dmr::MappingPolicy::Linear
+                            : dmr::MappingPolicy::CrossCluster;
+    } else if (a == "--qsize") {
+        m.dmr.replayQSize = parseU32Arg("--qsize", next(), campaign);
+    } else if (a == "--sms") {
+        m.sms = parseU32Arg("--sms", next(), campaign);
+    } else if (a == "--sched") {
+        m.sched = parseKeywordArg("--sched", next(), {"lrr", "gto"},
+                                  campaign)
+                      ? arch::SchedPolicy::GreedyThenOldest
+                      : arch::SchedPolicy::LooseRoundRobin;
+    } else if (a == "--schedulers") {
+        m.schedulers = parseU32Arg("--schedulers", next(), campaign);
+    } else if (a == "--scheme") {
+        m.scheme.id = parseSchemeArg(next(), campaign);
+    } else if (a == "--protect-frac") {
+        const char *v = next();
+        const double f = parseF64Arg("--protect-frac", v, campaign);
+        if (f < 0.0 || f > 1.0)
+            badNumericArg("--protect-frac (expects [0,1])", v,
+                          campaign);
+        m.scheme.protectFraction = f;
+    } else if (a == "--mem-model") {
+        static constexpr arch::MemModel kModels[] = {
+            arch::MemModel::Flat, arch::MemModel::Banked};
+        m.memModel = kModels[parseKeywordArg(
+            "--mem-model", next(), {"flat", "banked"}, campaign)];
+    } else if (a == "--ecc") {
+        static constexpr arch::EccKind kCodecs[] = {
+            arch::EccKind::None, arch::EccKind::Secded,
+            arch::EccKind::Chipkill};
+        m.ecc = kCodecs[parseKeywordArg(
+            "--ecc", next(), {"none", "secded", "chipkill"}, campaign)];
+    } else {
+        return false;
     }
-    std::fprintf(stderr,
-                 "warped_sim: unknown memory model '%s' (expected "
-                 "flat or banked)\n",
-                 text ? text : "");
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
+    return true;
 }
 
-/** Strict `--ecc` resolution: none, secded or chipkill. */
-arch::EccKind
-parseEccArg(const char *text, bool campaign)
+/** Run-mode options. */
+struct Options
 {
-    if (text) {
-        if (std::strcmp(text, "none") == 0)
-            return arch::EccKind::None;
-        if (std::strcmp(text, "secded") == 0)
-            return arch::EccKind::Secded;
-        if (std::strcmp(text, "chipkill") == 0)
-            return arch::EccKind::Chipkill;
-    }
-    std::fprintf(stderr,
-                 "warped_sim: unknown ECC codec '%s' (expected none, "
-                 "secded or chipkill)\n",
-                 text ? text : "");
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
-}
+    std::string workload = "all";
+    MachineFlags machine;
+    unsigned cluster = 4;
+    bool bankConflicts = false;
+    bool coalescing = false;
+    bool contention = false;
+    unsigned warpSize = 32;
+    std::string kernelFile;
+    unsigned kblocks = 4, kthreads = 128;
+    bool disasm = false;
+    bool verbose = false;
+    bool report = false;
+    bool json = false;
+    unsigned trace = 0;
+    std::string traceOut;
+    std::string metricsOut;
+};
 
 enum class Domain
 {
@@ -469,14 +518,16 @@ struct CampaignCli
 {
     std::string workload;
     fault::EngineConfig ec;
-    unsigned sms = 4;
+    /** Campaign defaults: 4 SMs; schedulers 0 keeps the test
+     *  machine's count. */
+    MachineFlags machine = [] {
+        MachineFlags m;
+        m.sms = 4;
+        m.schedulers = 0;
+        return m;
+    }();
     unsigned size = 0;
-    unsigned schedulers = 0;
-    arch::SchedPolicy sched = arch::SchedPolicy::LooseRoundRobin;
-    bool schedSet = false;
     bool sweep = false;
-    arch::MemModel memModel = arch::MemModel::Flat;
-    arch::EccKind ecc = arch::EccKind::None;
     Domain domain = Domain::Exec;
     std::string outPath;
     /** Campaign-level flags, verbatim, for worker command lines. */
@@ -510,53 +561,31 @@ parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
     } else if (a == "--moe") {
         ec.marginOfError = parseF64Arg("--moe", next(), true);
     } else if (a == "--kinds") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
+        static constexpr fault::FaultKind kKinds[] = {
+            fault::FaultKind::TransientBitFlip,
+            fault::FaultKind::StuckAtZero, fault::FaultKind::StuckAtOne};
+        if (!(v = next()))
+            usageExit(true);
         ec.space.kinds.clear();
         for (const char *p = v; *p;) {
             const char *comma = std::strchr(p, ',');
             const std::string k =
                 comma ? std::string(p, comma) : std::string(p);
-            if (k == "transient")
-                ec.space.kinds.push_back(
-                    fault::FaultKind::TransientBitFlip);
-            else if (k == "stuck0")
-                ec.space.kinds.push_back(
-                    fault::FaultKind::StuckAtZero);
-            else if (k == "stuck1")
-                ec.space.kinds.push_back(
-                    fault::FaultKind::StuckAtOne);
-            else {
-                campaignUsage();
-                std::exit(2);
-            }
+            ec.space.kinds.push_back(kKinds[parseKeywordArg(
+                "--kinds", k.c_str(), {"transient", "stuck0", "stuck1"},
+                true)]);
             if (!comma)
                 break;
             p = comma + 1;
         }
-        if (ec.space.kinds.empty()) {
-            campaignUsage();
-            std::exit(2);
-        }
+        if (ec.space.kinds.empty())
+            usageExit(true);
     } else if (a == "--unit") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        if (std::strcmp(v, "any") == 0)
-            ec.space.units = {std::nullopt};
-        else if (std::strcmp(v, "sp") == 0)
-            ec.space.units = {isa::UnitType::SP};
-        else if (std::strcmp(v, "sfu") == 0)
-            ec.space.units = {isa::UnitType::SFU};
-        else if (std::strcmp(v, "ldst") == 0)
-            ec.space.units = {isa::UnitType::LDST};
-        else {
-            campaignUsage();
-            std::exit(2);
-        }
+        static const std::optional<isa::UnitType> kUnits[] = {
+            std::nullopt, isa::UnitType::SP, isa::UnitType::SFU,
+            isa::UnitType::LDST};
+        ec.space.units = {kUnits[parseKeywordArg(
+            "--unit", next(), {"any", "sp", "sfu", "ldst"}, true)]};
     } else if (a == "--windows") {
         ec.space.cycleWindows = parseU32Arg("--windows", next(), true);
     } else if (a == "--strata") {
@@ -565,18 +594,14 @@ parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
         if (n == 0)
             badNumericArg("--strata (expects >= 1)", v, true);
         ec.strataWindows = n;
-    } else if (a == "--sms") {
-        c.sms = parseU32Arg("--sms", next(), true);
     } else if (a == "--seed") {
         ec.seed = parseU64Arg("--seed", next(), true);
     } else if (a == "--jobs") {
         ec.jobs = parseU32Arg("--jobs", next(), true);
     } else if (a == "--checkpoint") {
         forward = false;
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
+        if (!(v = next()))
+            usageExit(true);
         ec.checkpointPath = v;
     } else if (a == "--checkpoint-every") {
         forward = false;
@@ -591,30 +616,9 @@ parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
         ec.checkpointEvery = n;
     } else if (a == "--out") {
         forward = false;
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
+        if (!(v = next()))
+            usageExit(true);
         c.outPath = v;
-    } else if (a == "--dmr") {
-        if ((v = next()) && std::strcmp(v, "off") == 0)
-            ec.dmr = dmr::DmrConfig::off();
-    } else if (a == "--no-intra") {
-        ec.dmr.intraWarp = false;
-    } else if (a == "--no-inter") {
-        ec.dmr.interWarp = false;
-    } else if (a == "--no-shuffle") {
-        ec.dmr.laneShuffle = false;
-    } else if (a == "--mapping") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        ec.dmr.mapping = std::strcmp(v, "linear") == 0
-                             ? dmr::MappingPolicy::Linear
-                             : dmr::MappingPolicy::CrossCluster;
-    } else if (a == "--qsize") {
-        ec.dmr.replayQSize = parseU32Arg("--qsize", next(), true);
     } else if (a == "--recovery") {
         ec.recovery.enabled = true;
     } else if (a == "--recovery-budget") {
@@ -629,48 +633,15 @@ parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
         ec.recovery.enabled = true;
         ec.recovery.rollbackPenalty =
             parseU32Arg("--recovery-penalty", next(), true);
-    } else if (a == "--scheme") {
-        ec.scheme.id = parseSchemeArg(next(), true);
-    } else if (a == "--protect-frac") {
-        ec.scheme.protectFraction = parseProtectFracArg(next(), true);
     } else if (a == "--scheme-sweep") {
         forward = false;
         c.sweep = true;
-    } else if (a == "--mem-model") {
-        c.memModel = parseMemModelArg(next(), true);
-    } else if (a == "--ecc") {
-        c.ecc = parseEccArg(next(), true);
     } else if (a == "--fault-domain") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        if (std::strcmp(v, "exec") == 0)
-            c.domain = Domain::Exec;
-        else if (std::strcmp(v, "mem") == 0)
-            c.domain = Domain::Mem;
-        else if (std::strcmp(v, "both") == 0)
-            c.domain = Domain::Both;
-        else {
-            std::fprintf(stderr,
-                         "warped_sim: unknown fault domain '%s' "
-                         "(expected exec, mem or both)\n",
-                         v);
-            campaignUsage();
-            std::exit(2);
-        }
-    } else if (a == "--sched") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        c.sched = std::strcmp(v, "gto") == 0
-                      ? arch::SchedPolicy::GreedyThenOldest
-                      : arch::SchedPolicy::LooseRoundRobin;
-        c.schedSet = true;
-    } else if (a == "--schedulers") {
-        c.schedulers = parseU32Arg("--schedulers", next(), true);
-    } else {
+        static constexpr Domain kDomains[] = {Domain::Exec, Domain::Mem,
+                                              Domain::Both};
+        c.domain = kDomains[parseKeywordArg(
+            "--fault-domain", next(), {"exec", "mem", "both"}, true)];
+    } else if (!parseMachineArg(argc, argv, i, c.machine, true)) {
         return false;
     }
     if (forward)
@@ -683,15 +654,17 @@ parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
 void
 finalizeCampaignConfig(CampaignCli &c)
 {
+    const MachineFlags &m = c.machine;
     c.ec.workload = c.workload;
+    c.ec.dmr = m.dmr;
+    c.ec.scheme = m.scheme;
     c.ec.gpu = arch::GpuConfig::testDefault();
-    c.ec.gpu.numSms = c.sms;
-    if (c.schedSet)
-        c.ec.gpu.schedPolicy = c.sched;
-    if (c.schedulers)
-        c.ec.gpu.numSchedulers = c.schedulers;
-    c.ec.gpu.memModel = c.memModel;
-    c.ec.gpu.eccKind = c.ecc;
+    c.ec.gpu.numSms = m.sms;
+    c.ec.gpu.schedPolicy = m.sched;
+    if (m.schedulers)
+        c.ec.gpu.numSchedulers = m.schedulers;
+    c.ec.gpu.memModel = m.memModel;
+    c.ec.gpu.eccKind = m.ecc;
     c.ec.space.execEnabled = c.domain != Domain::Mem;
     c.ec.space.memEnabled = c.domain != Domain::Exec;
 }
@@ -1205,24 +1178,15 @@ shardMain(int argc, char **argv)
                         "assigned shard " + std::to_string(shard) +
                         " of a " + std::to_string(plans.size()) +
                         "-shard plan");
-                const auto &plan =
-                    plans[static_cast<std::size_t>(shard)];
-                const auto rep =
-                    engine.runRange(plan.base, plan.count);
-                fault::ShardDelta d;
-                d.shard = plan.index;
-                d.base = plan.base;
-                d.count = plan.count;
-                d.signature = engine.signature();
-                d.counters = rep.toMetrics().counters();
+                const auto d = fault::runShard(
+                    engine, plans[static_cast<std::size_t>(shard)]);
                 std::fprintf(
                     stderr,
                     "shard %llu/%llu: runs [%llu, %llu) -> socket\n",
                     static_cast<unsigned long long>(shard),
                     static_cast<unsigned long long>(count),
-                    static_cast<unsigned long long>(plan.base),
-                    static_cast<unsigned long long>(plan.base +
-                                                    plan.count));
+                    static_cast<unsigned long long>(d.base),
+                    static_cast<unsigned long long>(d.base + d.count));
                 return d.toJson();
             });
     }
@@ -1239,16 +1203,8 @@ shardMain(int argc, char **argv)
 
     const auto plans =
         fault::planShards(engine.plannedSites(), shardCount);
-    const auto &plan =
-        plans[static_cast<std::size_t>(shardIndex)];
-    const auto rep = engine.runRange(plan.base, plan.count);
-
-    fault::ShardDelta d;
-    d.shard = plan.index;
-    d.base = plan.base;
-    d.count = plan.count;
-    d.signature = engine.signature();
-    d.counters = rep.toMetrics().counters();
+    const auto d = fault::runShard(
+        engine, plans[static_cast<std::size_t>(shardIndex)]);
     if (!writeTextAtomic(deltaOut, d.toJson())) {
         std::fprintf(stderr, "shard %llu: cannot write %s\n",
                      static_cast<unsigned long long>(shardIndex),
@@ -1259,9 +1215,8 @@ shardMain(int argc, char **argv)
                  "shard %llu/%llu: runs [%llu, %llu) -> %s\n",
                  static_cast<unsigned long long>(shardIndex),
                  static_cast<unsigned long long>(shardCount),
-                 static_cast<unsigned long long>(plan.base),
-                 static_cast<unsigned long long>(plan.base +
-                                                 plan.count),
+                 static_cast<unsigned long long>(d.base),
+                 static_cast<unsigned long long>(d.base + d.count),
                  deltaOut.c_str());
     return 0;
 }
@@ -1493,16 +1448,8 @@ serveMain(int argc, char **argv)
     // worker's golden run for zero injections.
     for (const auto shard : agg.pendingShards()) {
         const auto &p = plans[static_cast<std::size_t>(shard)];
-        if (p.count != 0)
-            continue;
-        fault::ShardDelta d;
-        d.shard = p.index;
-        d.base = p.base;
-        d.count = 0;
-        d.signature = engine.signature();
-        d.counters =
-            engine.runRange(p.base, 0).toMetrics().counters();
-        agg.fold(d);
+        if (p.count == 0)
+            agg.fold(fault::runShard(engine, p));
     }
 
     sim::ShardQueue queue(agg.pendingShards());
@@ -1727,31 +1674,10 @@ parse(int argc, char **argv, Options &o)
                             w->bytesIn(), w->bytesOut());
             }
             std::exit(0);
-        } else if (a == "--dmr") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "off") == 0)
-                o.dmr = dmr::DmrConfig::off();
-        } else if (a == "--no-intra") {
-            o.dmr.intraWarp = false;
-        } else if (a == "--no-inter") {
-            o.dmr.interWarp = false;
-        } else if (a == "--no-shuffle") {
-            o.dmr.laneShuffle = false;
-        } else if (a == "--mapping") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.dmr.mapping = std::strcmp(v, "linear") == 0
-                                ? dmr::MappingPolicy::Linear
-                                : dmr::MappingPolicy::CrossCluster;
-        } else if (a == "--qsize") {
-            o.dmr.replayQSize = parseU32Arg("--qsize", next(), false);
+        } else if (parseMachineArg(argc, argv, i, o.machine, false)) {
+            // shared machine flag, already applied
         } else if (a == "--cluster") {
             o.cluster = parseU32Arg("--cluster", next(), false);
-        } else if (a == "--sms") {
-            o.numSms = parseU32Arg("--sms", next(), false);
         } else if (a == "--sampling") {
             // E:A — both halves strict; sscanf accepted trailing
             // junk ("1000:250x") and negative epochs.
@@ -1760,40 +1686,22 @@ parse(int argc, char **argv, Options &o)
             if (!colon)
                 badNumericArg("--sampling (expects E:A)", v, false);
             const std::string epoch(v, colon);
-            o.dmr.samplingEpoch =
+            o.machine.dmr.samplingEpoch =
                 parseU32Arg("--sampling epoch", epoch.c_str(), false);
-            o.dmr.samplingActive =
+            o.machine.dmr.samplingActive =
                 parseU32Arg("--sampling active", colon + 1, false);
-        } else if (a == "--sched") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.sched = std::strcmp(v, "gto") == 0
-                          ? arch::SchedPolicy::GreedyThenOldest
-                          : arch::SchedPolicy::LooseRoundRobin;
-        } else if (a == "--schedulers") {
-            o.schedulers = parseU32Arg("--schedulers", next(), false);
         } else if (a == "--bank-conflicts") {
             o.bankConflicts = true;
         } else if (a == "--coalescing") {
             o.coalescing = true;
         } else if (a == "--contention") {
             o.contention = true;
-        } else if (a == "--mem-model") {
-            o.memModel = parseMemModelArg(next(), false);
-        } else if (a == "--ecc") {
-            o.ecc = parseEccArg(next(), false);
         } else if (a == "--warp") {
             o.warpSize = parseU32Arg("--warp", next(), false);
         } else if (a == "--arbitrate") {
-            o.dmr.arbitrateErrors = true;
+            o.machine.dmr.arbitrateErrors = true;
         } else if (a == "--dmtr") {
-            o.dmr = dmr::DmrConfig::dmtr();
-        } else if (a == "--scheme") {
-            o.scheme.id = parseSchemeArg(next(), false);
-        } else if (a == "--protect-frac") {
-            o.scheme.protectFraction =
-                parseProtectFracArg(next(), false);
+            o.machine.dmr = dmr::DmrConfig::dmtr();
         } else if (a == "--kernel") {
             const char *v = next();
             if (!v)
@@ -1838,7 +1746,8 @@ runOne(const std::string &name, const Options &o,
        const arch::GpuConfig &cfg)
 {
     auto w = workloads::makeByName(name);
-    gpu::Gpu g(cfg, o.dmr, /*seed=*/1, nullptr, {}, o.scheme);
+    gpu::Gpu g(cfg, o.machine.dmr, /*seed=*/1, nullptr, {},
+               o.machine.scheme);
     w->setup(g);
     if (o.disasm)
         std::printf("%s\n", w->program().disassemble().c_str());
@@ -1909,7 +1818,7 @@ runOne(const std::string &name, const Options &o,
                 r.timeNs / 1e3, 100 * r.coverage(),
                 pm.estimate(r).total(), ok ? "OK" : "FAIL");
 
-    if (o.dmr.enabled) {
+    if (o.machine.dmr.enabled) {
         std::printf(
             "    verified: intra %llu / inter %llu thread-instrs; "
             "stalls: eager %llu, raw %llu; queue events: enq %llu, "
@@ -1928,7 +1837,7 @@ runOne(const std::string &name, const Options &o,
             std::printf("    ERRORS DETECTED: %llu",
                         static_cast<unsigned long long>(
                             r.dmr.errorsDetected));
-            if (o.dmr.arbitrateErrors) {
+            if (o.machine.dmr.arbitrateErrors) {
                 std::printf(" (primary-bad %llu, checker-bad %llu, "
                             "inconclusive %llu)",
                             static_cast<unsigned long long>(
@@ -1970,15 +1879,15 @@ main(int argc, char **argv)
     setVerbose(o.verbose);
 
     auto cfg = arch::GpuConfig::paperDefault();
-    cfg.numSms = o.numSms;
+    cfg.numSms = o.machine.sms;
     cfg.lanesPerCluster = o.cluster;
-    cfg.numSchedulers = o.schedulers;
-    cfg.schedPolicy = o.sched;
+    cfg.numSchedulers = o.machine.schedulers;
+    cfg.schedPolicy = o.machine.sched;
     cfg.modelBankConflicts = o.bankConflicts;
     cfg.modelCoalescing = o.coalescing;
     cfg.modelMemContention = o.contention;
-    cfg.memModel = o.memModel;
-    cfg.eccKind = o.ecc;
+    cfg.memModel = o.machine.memModel;
+    cfg.eccKind = o.machine.ecc;
     cfg.warpSize = o.warpSize;
     cfg.traceIssueLimit = o.trace;
     cfg.traceEvents = !o.traceOut.empty();
@@ -1997,7 +1906,8 @@ main(int argc, char **argv)
         const auto prog = isa::parseProgram(text);
         if (o.disasm)
             std::printf("%s\n", prog.disassemble().c_str());
-        gpu::Gpu g(cfg, o.dmr, /*seed=*/1, nullptr, {}, o.scheme);
+        gpu::Gpu g(cfg, o.machine.dmr, /*seed=*/1, nullptr, {},
+                   o.machine.scheme);
         const auto r = g.launch(prog, o.kblocks, o.kthreads);
         if (o.json) {
             std::printf("%s\n",

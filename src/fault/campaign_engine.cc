@@ -459,6 +459,96 @@ CampaignEngine::CampaignEngine(WorkloadFactory factory,
 
 namespace {
 
+/** Watchdog budget of one injected launch: a fault can corrupt a
+ *  loop counter and hang the kernel, so the launch gets a generous
+ *  multiple of the fault-free span. */
+Cycle
+watchdogBudget(Cycle span)
+{
+    return span * 20 + 100000;
+}
+
+/** One attempt at a memory-cell site: no execution-side hook; the
+ *  fault lives in the global memory's fault plane and every read of
+ *  the upset word is filtered through the configured ECC codec. */
+void
+runMemorySite(RunRecord &rec, const FaultSpec &spec,
+              workloads::Workload &w, Cycle span,
+              const EngineConfig &cfg)
+{
+    gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
+               cfg.scheme);
+    w.setup(g);
+    mem::MemFaultPlane plane(cfg.gpu.eccKind);
+    plane.inject(spec.memAddr, spec.memKind, spec.bit, spec.cycleBegin);
+    g.mem().attachFaultPlane(&plane);
+    const auto r = g.launch(w.program(), w.gridBlocks(),
+                            w.blockThreads(), watchdogBudget(span));
+    // Host readback goes through the plane too, so an upset that
+    // survives in an output word is caught by verify() whether or
+    // not the kernel ever loaded it.
+    bool outputOk = true;
+    if (!r.hung)
+        outputOk = w.verify(g);
+    g.mem().attachFaultPlane(nullptr);
+    rec.activated = plane.consumedReads() > 0;
+    rec.cls = classifyMemOutcome(rec.activated, plane.uncorrectable() > 0,
+                                 plane.corrected() > 0,
+                                 r.dmr.errorsDetected > 0, r.hung,
+                                 outputOk);
+}
+
+/** One attempt at an execution-lane site: the fault rides the
+ *  injector hook on the lane's output wire. */
+void
+runExecSite(RunRecord &rec, const FaultSpec &spec,
+            workloads::Workload &w, Cycle span, const EngineConfig &cfg)
+{
+    FaultInjector injector;
+    injector.add(spec);
+    gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &injector, cfg.recovery,
+               cfg.scheme);
+    w.setup(g);
+    // With recovery off the first detection is the verdict:
+    // classifyOutcome returns Detected whatever the output or a later
+    // hang, and the latency reads only the first errorLog entry, so
+    // the launch may stop there (docs/FAULT_MODEL.md, "Exact campaign
+    // shortcuts").
+    const auto r = g.launch(w.program(), w.gridBlocks(),
+                            w.blockThreads(), watchdogBudget(span),
+                            /*stop_at_detection=*/!cfg.recovery.enabled);
+
+    rec.activated = injector.activations() > 0;
+    const bool detected = r.dmr.errorsDetected > 0;
+    const bool recoveredClean =
+        cfg.recovery.enabled && detected && r.recovery.giveUps == 0;
+    // The golden-reference comparison: Workload::verify checks the
+    // output buffers against the CPU reference, which the fault-free
+    // golden run was itself validated against (runVerified in
+    // prepare). A detected run's output only matters when
+    // rollback-replay claims a clean repair, so verify() is also
+    // called for those.
+    bool outputOk = true;
+    if (rec.activated && !r.hung && (!detected || recoveredClean))
+        outputOk = w.verify(g);
+    rec.cls = classifyOutcome(rec.activated, detected, r.hung, outputOk,
+                              recoveredClean);
+    if ((rec.cls == OutcomeClass::Detected ||
+         rec.cls == OutcomeClass::Recovered) &&
+        !r.dmr.errorLog.empty()) {
+        const Cycle det = r.dmr.errorLog.front().cycle;
+        const Cycle act = injector.firstActivationCycle();
+        rec.latency = det >= act ? det - act : 0;
+        rec.hasLatency = true;
+    }
+    rec.rollbacks = r.recovery.rollbacks;
+    rec.giveUps = r.recovery.giveUps;
+    if (rec.cls == OutcomeClass::Recovered) {
+        rec.recoveryCycles = r.recovery.recoveryCycles;
+        rec.hasRecovery = true;
+    }
+}
+
 /** One injected experiment (thread-safe: everything is run-local).
  *  With @p strat set the site is drawn within the run's stratum;
  *  either way the draw is a pure function of (seed, run_index). */
@@ -472,138 +562,46 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
               : space.sampleIndex(cfg.seed, run_index);
     const FaultSpec spec = space.site(siteIdx);
 
-    RunRecord rec;
-    rec.kind = spec.kind;
-    rec.unit = spec.unit;
-    rec.runIndex = run_index;
-    rec.siteIndex = siteIdx;
+    RunRecord site;
+    site.kind = spec.kind;
+    site.unit = spec.unit;
+    site.isMemory = spec.isMemory;
+    site.memKind = spec.memKind;
+    site.runIndex = run_index;
+    site.siteIndex = siteIdx;
     if (strat)
-        rec.stratumLabel =
+        site.stratumLabel =
             strat->stratum(strat->stratumOfRun(run_index)).label;
-
-    if (spec.isMemory) {
-        // Memory-cell upset: no execution-side hook; the fault lives
-        // in the global memory's fault plane and every read of the
-        // upset word is filtered through the configured ECC codec.
-        // Same twice-then-hang-DUE retry contract as below.
-        rec.isMemory = true;
-        rec.memKind = spec.memKind;
-        for (unsigned attempt = 0; attempt < 2; ++attempt) {
-            auto w = factory();
-            try {
-                gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr,
-                           cfg.recovery, cfg.scheme);
-                w->setup(g);
-                mem::MemFaultPlane plane(cfg.gpu.eccKind);
-                plane.inject(spec.memAddr, spec.memKind, spec.bit,
-                             spec.cycleBegin);
-                g.mem().attachFaultPlane(&plane);
-                const Cycle watchdog = span * 20 + 100000;
-                const auto r = g.launch(w->program(), w->gridBlocks(),
-                                        w->blockThreads(), watchdog);
-                // Host readback goes through the plane too, so an
-                // upset that survives in an output word is caught by
-                // verify() whether or not the kernel ever loaded it.
-                bool outputOk = true;
-                if (!r.hung)
-                    outputOk = w->verify(g);
-                g.mem().attachFaultPlane(nullptr);
-                rec.activated = plane.consumedReads() > 0;
-                rec.cls = classifyMemOutcome(
-                    rec.activated, plane.uncorrectable() > 0,
-                    plane.corrected() > 0, r.dmr.errorsDetected > 0,
-                    r.hung, outputOk);
-                return rec;
-            } catch (const std::exception &e) {
-                if (attempt == 0)
-                    continue;
-                warped_warn("campaign: memory run ", run_index,
-                            " (site ", siteIdx, ", seed ", cfg.seed,
-                            ") aborted twice: ", e.what(),
-                            "; classifying as hang-DUE");
-                rec.activated = true;
-                rec.cls = OutcomeClass::Due;
-                rec.aborted = true;
-            }
-        }
-        return rec;
-    }
 
     // An injected fault (or, with recovery on, a rollback livelock)
     // can drive the simulator into one of its own sanity panics —
     // warped_panic throws. That must cost the campaign one run, not
     // the whole campaign: retry the same site once with identical
-    // seeding (everything below is a pure function of run_index), and
-    // if it throws again classify the site as a hang-DUE.
+    // seeding (each attempt is a pure function of run_index and
+    // starts from the site's record), and if it throws again classify
+    // the site as a hang-DUE.
     for (unsigned attempt = 0; attempt < 2; ++attempt) {
-        FaultInjector injector;
-        injector.add(spec);
+        RunRecord rec = site;
         auto w = factory();
         try {
-            gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &injector,
-                       cfg.recovery, cfg.scheme);
-            w->setup(g);
-            // Watchdog: a fault can corrupt a loop counter and hang
-            // the kernel; give it a generous multiple of the
-            // fault-free span.
-            const Cycle watchdog = span * 20 + 100000;
-            // With recovery off the first detection is the verdict:
-            // classifyOutcome returns Detected whatever the output or
-            // a later hang, and the latency reads only the first
-            // errorLog entry, so the launch may stop there
-            // (docs/FAULT_MODEL.md, "Exact campaign shortcuts").
-            const auto r = g.launch(w->program(), w->gridBlocks(),
-                                    w->blockThreads(), watchdog,
-                                    /*stop_at_detection=*/
-                                    !cfg.recovery.enabled);
-
-            rec.activated = injector.activations() > 0;
-            const bool detected = r.dmr.errorsDetected > 0;
-            const bool recoveredClean = cfg.recovery.enabled &&
-                                        detected &&
-                                        r.recovery.giveUps == 0;
-            // The golden-reference comparison: Workload::verify
-            // checks the output buffers against the CPU reference,
-            // which the fault-free golden run was itself validated
-            // against (runVerified below). A detected run's output
-            // only matters when rollback-replay claims a clean
-            // repair, so verify() is also called for those.
-            bool outputOk = true;
-            if (rec.activated && !r.hung &&
-                (!detected || recoveredClean))
-                outputOk = w->verify(g);
-            rec.cls = classifyOutcome(rec.activated, detected,
-                                      r.hung, outputOk,
-                                      recoveredClean);
-            if ((rec.cls == OutcomeClass::Detected ||
-                 rec.cls == OutcomeClass::Recovered) &&
-                !r.dmr.errorLog.empty()) {
-                const Cycle det = r.dmr.errorLog.front().cycle;
-                const Cycle act = injector.firstActivationCycle();
-                rec.latency = det >= act ? det - act : 0;
-                rec.hasLatency = true;
-            }
-            rec.rollbacks = r.recovery.rollbacks;
-            rec.giveUps = r.recovery.giveUps;
-            if (rec.cls == OutcomeClass::Recovered) {
-                rec.recoveryCycles = r.recovery.recoveryCycles;
-                rec.hasRecovery = true;
-            }
+            if (spec.isMemory)
+                runMemorySite(rec, spec, *w, span, cfg);
+            else
+                runExecSite(rec, spec, *w, span, cfg);
             return rec;
         } catch (const std::exception &e) {
-            if (attempt == 0)
-                continue;
-            warped_warn("campaign: run ", run_index, " (site ",
-                        siteIdx, ", seed ", cfg.seed,
-                        ") aborted twice: ", e.what(),
-                        "; classifying as hang-DUE");
-            rec.activated = true;
-            rec.cls = OutcomeClass::Due;
-            rec.hasLatency = false;
-            rec.aborted = true;
+            if (attempt == 1)
+                warped_warn("campaign: ",
+                            spec.isMemory ? "memory run " : "run ",
+                            run_index, " (site ", siteIdx, ", seed ",
+                            cfg.seed, ") aborted twice: ", e.what(),
+                            "; classifying as hang-DUE");
         }
     }
-    return rec;
+    site.activated = true;
+    site.cls = OutcomeClass::Due;
+    site.aborted = true;
+    return site;
 }
 
 void
@@ -986,6 +984,14 @@ CampaignEngine::runRange(std::uint64_t base, std::uint64_t count)
                      base + count, ") exceeds the ", planned_,
                      " planned runs");
     sim::RunPool pool(cfg_.jobs);
+    runInto(rep, pool, base, count);
+    return rep;
+}
+
+void
+CampaignEngine::runInto(CampaignReport &rep, sim::RunPool &pool,
+                        std::uint64_t base, std::uint64_t count)
+{
     std::vector<RunRecord> records(static_cast<std::size_t>(count));
     pool.parallelFor(static_cast<std::size_t>(count),
                      [&](std::size_t i) {
@@ -996,7 +1002,6 @@ CampaignEngine::runRange(std::uint64_t base, std::uint64_t count)
                      });
     for (const auto &rec : records)
         fold(rep, rec);
-    return rep;
 }
 
 CampaignReport
@@ -1032,21 +1037,10 @@ CampaignEngine::run()
                     " planned runs; clamping");
         chunkSize = planned_;
     }
-    std::vector<RunRecord> records;
     std::uint64_t chunks = 0;
     while (rep.sampled < planned_) {
-        const auto base = rep.sampled;
-        const auto n = std::min(chunkSize, planned_ - base);
-        records.assign(static_cast<std::size_t>(n), RunRecord{});
-        pool.parallelFor(static_cast<std::size_t>(n),
-                         [&](std::size_t i) {
-                             records[i] = runOne(
-                                 base + i, *space_,
-                                 strat_ ? &*strat_ : nullptr, span_,
-                                 factory_, cfg_);
-                         });
-        for (const auto &rec : records)
-            fold(rep, rec);
+        runInto(rep, pool, rep.sampled,
+                std::min(chunkSize, planned_ - rep.sampled));
         if (!cfg_.checkpointPath.empty())
             writeCheckpoint(cfg_.checkpointPath, rep, signature_);
         if (cfg_.stopAfterChunks && ++chunks >= cfg_.stopAfterChunks)

@@ -68,6 +68,10 @@
 #include "workloads/workload.hh"
 
 namespace warped {
+namespace sim {
+class RunPool;
+}
+
 namespace fault {
 
 /**
@@ -432,6 +436,11 @@ class CampaignEngine
     const FaultSiteSpace &space() const { return *space_; }
 
   private:
+    /** Classify runs [base, base + count) on @p pool and fold them
+     *  into @p rep in run-index order. */
+    void runInto(CampaignReport &rep, sim::RunPool &pool,
+                 std::uint64_t base, std::uint64_t count);
+
     WorkloadFactory factory_;
     EngineConfig cfg_;
     std::uint64_t planned_ = 0;

@@ -169,18 +169,15 @@ ShardDelta::fromJson(const std::string &text)
 }
 
 ShardDelta
-runShardInProcess(const WorkloadFactory &factory,
-                  const EngineConfig &cfg, const ShardPlan &plan)
+runShard(CampaignEngine &engine, const ShardPlan &plan)
 {
-    CampaignEngine engine(factory, cfg);
-    const CampaignReport delta =
-        engine.runRange(plan.base, plan.count);
     ShardDelta d;
+    d.counters =
+        engine.runRange(plan.base, plan.count).toMetrics().counters();
     d.shard = plan.index;
     d.base = plan.base;
     d.count = plan.count;
     d.signature = engine.signature();
-    d.counters = delta.toMetrics().counters();
     return d;
 }
 

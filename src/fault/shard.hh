@@ -93,12 +93,11 @@ struct ShardDelta
     static ShardDelta fromJson(const std::string &text);
 };
 
-/** Run shard @p plan of the campaign in this process and package the
- *  delta (the library-level worker; `warped_sim shard` is a thin
- *  wrapper). */
-ShardDelta runShardInProcess(const WorkloadFactory &factory,
-                             const EngineConfig &cfg,
-                             const ShardPlan &plan);
+/** Run shard @p plan on @p engine and package its delta (the
+ *  library-level worker; every `warped_sim shard` mode and `serve`'s
+ *  empty-shard fold go through it). One engine serves any number of
+ *  shards: its golden run is paid once, in prepare(). */
+ShardDelta runShard(CampaignEngine &engine, const ShardPlan &plan);
 
 class ShardAggregator
 {

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
@@ -798,4 +800,147 @@ TEST(MemCampaign, CodecChangeInvalidatesTheCheckpoint)
     const auto restarted = CampaignEngine(scanFactory(), ec).run();
     EXPECT_EQ(restarted.sampled, 10u); // restarted, not resumed to 20
     std::remove(ckpt.c_str());
+}
+
+// ---------------------------------------------------------------------
+// the abort path: a run whose simulator throws (warped_panic throws)
+// is retried once with identical seeding; a second throw classifies
+// the site as an aborted hang-DUE
+
+namespace {
+
+/** Which setup() calls throw, counted from the moment the test arms
+ *  it — after prepare(), so the golden run never throws. */
+struct AbortSchedule
+{
+    bool armed = false;
+    std::uint64_t calls = 0;
+    std::set<std::uint64_t> throwOn;
+};
+
+/** A workload whose setup() throws on the scheduled calls and is
+ *  otherwise the wrapped workload. */
+class AbortingWorkload : public workloads::Workload
+{
+  public:
+    AbortingWorkload(std::unique_ptr<workloads::Workload> inner,
+                     AbortSchedule &sched)
+        : inner_(std::move(inner)), sched_(sched)
+    {
+    }
+
+    const std::string &name() const override { return inner_->name(); }
+    const std::string &category() const override
+    {
+        return inner_->category();
+    }
+    void
+    setup(gpu::Gpu &gpu) override
+    {
+        if (sched_.armed && sched_.throwOn.count(sched_.calls++))
+            throw std::runtime_error("simulated simulator abort");
+        inner_->setup(gpu);
+    }
+    const isa::Program &program() const override
+    {
+        return inner_->program();
+    }
+    unsigned gridBlocks() const override { return inner_->gridBlocks(); }
+    unsigned blockThreads() const override
+    {
+        return inner_->blockThreads();
+    }
+    std::size_t bytesIn() const override { return inner_->bytesIn(); }
+    std::size_t bytesOut() const override { return inner_->bytesOut(); }
+    bool verify(const gpu::Gpu &gpu) const override
+    {
+        return inner_->verify(gpu);
+    }
+
+  private:
+    std::unique_ptr<workloads::Workload> inner_;
+    AbortSchedule &sched_;
+};
+
+/** The run whose setup() the abort tests make throw. */
+constexpr std::uint64_t kAbortRun = 5;
+
+EngineConfig
+abortEngineCfg(bool memory)
+{
+    auto ec = scanEngineCfg();
+    ec.sites = 12;
+    ec.jobs = 1; // runs in index order: setup call k is predictable
+    if (memory) {
+        ec.space.execEnabled = false;
+        ec.space.memEnabled = true;
+    }
+    return ec;
+}
+
+/** Run @p ec's campaign with the setup() calls @p throw_on (counted
+ *  after the golden run) throwing; @p site receives the site index
+ *  run kAbortRun draws. */
+CampaignReport
+abortCampaign(const EngineConfig &ec, std::set<std::uint64_t> throw_on,
+              std::uint64_t *site = nullptr)
+{
+    AbortSchedule sched;
+    sched.throwOn = std::move(throw_on);
+    CampaignEngine eng(
+        [&sched] {
+            return std::make_unique<AbortingWorkload>(
+                workloads::makeScan(2), sched);
+        },
+        ec);
+    eng.prepare();
+    if (site)
+        *site = eng.space().sampleIndex(ec.seed, kAbortRun);
+    sched.armed = true;
+    return eng.run();
+}
+
+void
+checkAbortPath(bool memory)
+{
+    setVerbose(false);
+    const auto ec = abortEngineCfg(memory);
+    const auto clean = abortCampaign(ec, {});
+    EXPECT_EQ(clean.abortedRuns, 0u);
+
+    // With no failures setup call k is run k's first attempt, so
+    // call kAbortRun is that run's first attempt and kAbortRun + 1
+    // its retry. One throw: the retry reproduces the run exactly.
+    const auto once = abortCampaign(ec, {kAbortRun});
+    EXPECT_EQ(once.toJson(), clean.toJson());
+
+    // Two throws: the site is an aborted DUE; every other run keeps
+    // its verdict.
+    std::uint64_t site = 0;
+    const auto twice =
+        abortCampaign(ec, {kAbortRun, kAbortRun + 1}, &site);
+    const auto cleanRun =
+        CampaignEngine([] { return workloads::makeScan(2); }, ec)
+            .runRange(kAbortRun, 1);
+    EXPECT_EQ(twice.sampled, clean.sampled);
+    EXPECT_EQ(twice.overall.due,
+              clean.overall.due - cleanRun.overall.due + 1);
+    EXPECT_EQ(twice.abortedRuns, 1u);
+    ASSERT_EQ(twice.abortLog.size(), 1u);
+    EXPECT_EQ(twice.abortLog[0].runIndex, kAbortRun);
+    EXPECT_EQ(twice.abortLog[0].siteIndex, site);
+    EXPECT_NE(twice.toJson().find("\"campaign.aborted_runs\": 1"),
+              std::string::npos);
+}
+
+} // namespace
+
+TEST(CampaignAbort, ExecRunThatThrowsOnceIsRetriedAndTwiceIsDue)
+{
+    checkAbortPath(/*memory=*/false);
+}
+
+TEST(CampaignAbort, MemoryRunThatThrowsOnceIsRetriedAndTwiceIsDue)
+{
+    checkAbortPath(/*memory=*/true);
 }

@@ -9,7 +9,7 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "fault/campaign.hh"
+#include "fault/campaign_engine.hh"
 #include "fault/fault_injector.hh"
 #include "workloads/workload.hh"
 
@@ -121,73 +121,75 @@ TEST(FaultInjector, MultipleFaultsCompose)
     EXPECT_EQ(inj.apply(0, ctx(0, 0)), 3u);
 }
 
+namespace {
+
+/** A stuck-at-1 campaign over @p sites sampled sites on the 2-SM test
+ *  machine. */
+EngineConfig
+stuckAtOneCfg(std::uint64_t sites,
+              dmr::DmrConfig dmr = dmr::DmrConfig::paperDefault())
+{
+    EngineConfig ec;
+    ec.gpu = arch::GpuConfig::testDefault();
+    ec.gpu.numSms = 2;
+    ec.dmr = dmr;
+    ec.space.kinds = {FaultKind::StuckAtOne};
+    ec.sites = sites;
+    ec.jobs = 0;
+    return ec;
+}
+
+} // namespace
+
 TEST(Campaign, FaultFreeBaselineIsAllBenign)
 {
     setVerbose(false);
     // Campaign with stuck-at faults restricted to the SFU on a
     // workload with no SFU instructions: never activated.
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 5;
-    cc.kind = FaultKind::StuckAtOne;
-    cc.unit = isa::UnitType::SFU;
-    const auto res = runCampaign([] { return workloads::makeScan(1); },
-                                 cfg, dmr::DmrConfig::paperDefault(),
-                                 cc);
-    EXPECT_EQ(res.runs, 5u);
-    EXPECT_EQ(res.notActivated, 5u);
-    EXPECT_DOUBLE_EQ(res.detectionRate(), 1.0);
+    auto ec = stuckAtOneCfg(5);
+    ec.space.units = {isa::UnitType::SFU};
+    const auto res =
+        CampaignEngine([] { return workloads::makeScan(1); }, ec).run();
+    EXPECT_EQ(res.sampled, 5u);
+    EXPECT_EQ(res.overall.notActivated, 5u);
+    EXPECT_DOUBLE_EQ(res.overall.detectionRate(), 1.0);
 }
 
 TEST(Campaign, DetectsStuckAtFaultsWithProtection)
 {
     setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 8;
-    cc.kind = FaultKind::StuckAtOne;
-    const auto res = runCampaign([] { return workloads::makeScan(1); },
-                                 cfg, dmr::DmrConfig::paperDefault(),
-                                 cc);
-    const unsigned activated =
-        res.detected + res.sdc + res.benign + res.hangs;
+    const auto res = CampaignEngine([] { return workloads::makeScan(1); },
+                                    stuckAtOneCfg(8))
+                         .run();
+    const auto activated =
+        res.overall.total() - res.overall.notActivated;
     EXPECT_GT(activated, 0u);
-    EXPECT_EQ(res.sdc, 0u) << "silent corruption under full protection";
+    EXPECT_EQ(res.overall.sdc, 0u)
+        << "silent corruption under full protection";
 }
 
 TEST(Campaign, UnprotectedMachineProducesSdc)
 {
     setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 8;
-    cc.kind = FaultKind::StuckAtOne;
-    const auto res = runCampaign([] { return workloads::makeScan(1); },
-                                 cfg, dmr::DmrConfig::off(), cc);
-    EXPECT_EQ(res.detected, 0u);
-    EXPECT_GT(res.sdc + res.hangs, 0u);
+    const auto res = CampaignEngine([] { return workloads::makeScan(1); },
+                                    stuckAtOneCfg(8, dmr::DmrConfig::off()))
+                         .run();
+    EXPECT_EQ(res.overall.detected, 0u);
+    EXPECT_GT(res.overall.sdc + res.overall.due, 0u);
 }
 
 TEST(Campaign, DetectionLatencyIsTinyVsKernelLength)
 {
     setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 6;
-    cc.kind = FaultKind::StuckAtOne;
-    const auto res = runCampaign([] { return workloads::makeSha(1); },
-                                 cfg, dmr::DmrConfig::paperDefault(),
-                                 cc);
-    ASSERT_GT(res.detected, 0u);
+    const auto res = CampaignEngine([] { return workloads::makeSha(1); },
+                                    stuckAtOneCfg(6))
+                         .run();
+    ASSERT_GT(res.latencyCount, 0u);
     // Warped-DMR raises the alarm within a few pipeline lengths of
     // the first corrupted value; software schemes wait for the
     // kernel to finish.
     EXPECT_LT(res.meanDetectionLatency(), 100.0);
-    EXPECT_GT(double(res.kernelLengthSum) / res.detected,
+    EXPECT_GT(double(res.kernelLengthSum) / res.latencyCount,
               10.0 * res.meanDetectionLatency());
 }
 

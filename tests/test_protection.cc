@@ -168,7 +168,7 @@ TEST(PartialThread, FullFractionMatchesWarpedDmrCampaign)
     // DmrEngine and produce the SAME seeded campaign — same detection
     // set, same latencies, same outcome split — as plain Warped-DMR.
     setVerbose(false);
-    const auto runCampaign = [](SchemeId id) {
+    const auto campaignFor = [](SchemeId id) {
         fault::EngineConfig ec;
         ec.workload = "SCAN";
         ec.gpu = arch::GpuConfig::testDefault();
@@ -181,8 +181,8 @@ TEST(PartialThread, FullFractionMatchesWarpedDmrCampaign)
             [] { return workloads::makeByNameSized("SCAN", 2); }, ec);
         return engine.run();
     };
-    const auto a = runCampaign(SchemeId::WarpedDmr);
-    const auto b = runCampaign(SchemeId::PartialThread);
+    const auto a = campaignFor(SchemeId::WarpedDmr);
+    const auto b = campaignFor(SchemeId::PartialThread);
 
     // Whole-report comparison via the counter map (it covers the
     // outcome split, per-kind/per-unit splits and latency histogram);

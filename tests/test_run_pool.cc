@@ -16,7 +16,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fault/campaign.hh"
+#include "fault/campaign_engine.hh"
 #include "sim/run_pool.hh"
 #include "stats/launch_aggregator.hh"
 #include "workloads/workload.hh"
@@ -300,53 +300,48 @@ TEST(LaunchAggregator, SecondRawDistanceTrackerPanics)
 TEST(Campaign, ParallelCampaignIsBitIdenticalToSequential)
 {
     setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-
-    fault::CampaignConfig cc;
-    cc.runs = 6;
-    cc.kind = fault::FaultKind::StuckAtOne;
-    cc.seed = 1234;
+    fault::EngineConfig ec;
+    ec.gpu = arch::GpuConfig::testDefault();
+    ec.gpu.numSms = 2;
+    ec.space.kinds = {fault::FaultKind::StuckAtOne};
+    ec.sites = 6;
+    ec.seed = 1234;
 
     const auto factory = [] { return workloads::makeScan(1); };
 
-    cc.jobs = 1;
-    const auto seq = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
-    cc.jobs = 8;
-    const auto par = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
+    ec.jobs = 1;
+    const auto seq = fault::CampaignEngine(factory, ec).run();
+    ec.jobs = 8;
+    const auto par = fault::CampaignEngine(factory, ec).run();
 
-    EXPECT_EQ(seq.runs, par.runs);
-    EXPECT_EQ(seq.detected, par.detected);
-    EXPECT_EQ(seq.hangs, par.hangs);
-    EXPECT_EQ(seq.sdc, par.sdc);
-    EXPECT_EQ(seq.benign, par.benign);
-    EXPECT_EQ(seq.notActivated, par.notActivated);
-    EXPECT_EQ(seq.detectionLatencySum, par.detectionLatencySum);
+    EXPECT_EQ(seq.sampled, par.sampled);
+    EXPECT_EQ(seq.overall.detected, par.overall.detected);
+    EXPECT_EQ(seq.overall.due, par.overall.due);
+    EXPECT_EQ(seq.overall.sdc, par.overall.sdc);
+    EXPECT_EQ(seq.overall.masked, par.overall.masked);
+    EXPECT_EQ(seq.overall.notActivated, par.overall.notActivated);
+    EXPECT_EQ(seq.latencySum, par.latencySum);
     EXPECT_EQ(seq.kernelLengthSum, par.kernelLengthSum);
+    EXPECT_EQ(seq.toJson(), par.toJson());
 }
 
 TEST(Campaign, MasterSeedSelectsTheFaultSet)
 {
     setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-
-    fault::CampaignConfig cc;
-    cc.runs = 4;
-    cc.kind = fault::FaultKind::TransientBitFlip;
-    cc.jobs = 2;
+    fault::EngineConfig ec;
+    ec.gpu = arch::GpuConfig::testDefault();
+    ec.gpu.numSms = 2;
+    ec.space.kinds = {fault::FaultKind::TransientBitFlip};
+    ec.sites = 4;
+    ec.jobs = 2;
 
     const auto factory = [] { return workloads::makeScan(1); };
-    cc.seed = 1;
-    const auto a = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
-    const auto b = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
+    ec.seed = 1;
+    const auto a = fault::CampaignEngine(factory, ec).run();
+    const auto b = fault::CampaignEngine(factory, ec).run();
 
     // Same master seed -> identical campaign, even across pools.
-    EXPECT_EQ(a.detected, b.detected);
-    EXPECT_EQ(a.notActivated, b.notActivated);
-    EXPECT_EQ(a.detectionLatencySum, b.detectionLatencySum);
+    EXPECT_EQ(a.overall.detected, b.overall.detected);
+    EXPECT_EQ(a.overall.notActivated, b.overall.notActivated);
+    EXPECT_EQ(a.latencySum, b.latencySum);
 }

@@ -63,10 +63,10 @@ shardedJson(const EngineConfig &ec, std::uint64_t shard_count,
     const auto plans = planShards(orch.plannedSites(), shard_count);
     ShardAggregator agg(orch.skeleton(), orch.signature(),
                         orch.plannedSites(), shard_count);
+    // The worker is a separate engine, as in a separate process.
+    CampaignEngine worker(scanFactory(), ec);
     for (const auto i : order)
-        agg.fold(runShardInProcess(
-            scanFactory(), ec,
-            plans[static_cast<std::size_t>(i)]));
+        agg.fold(runShard(worker, plans[static_cast<std::size_t>(i)]));
     EXPECT_TRUE(agg.complete());
     return agg.report().toJson();
 }
@@ -197,15 +197,16 @@ TEST(ShardAggregator, WorkerDeathAndReissueIsInvisible)
     // Shard 1's first worker "dies": its delta is simply never
     // delivered. The re-issued worker recomputes a bit-identical
     // delta because run i's site depends only on (seed, i).
-    agg.fold(runShardInProcess(scanFactory(), ec, plans[0]));
-    const auto lost = runShardInProcess(scanFactory(), ec, plans[1]);
+    CampaignEngine worker(scanFactory(), ec);
+    agg.fold(runShard(worker, plans[0]));
+    const auto lost = runShard(worker, plans[1]);
     (void)lost;
-    agg.fold(runShardInProcess(scanFactory(), ec, plans[2]));
+    agg.fold(runShard(worker, plans[2]));
     EXPECT_FALSE(agg.complete());
     EXPECT_EQ(agg.pendingShards(), std::vector<std::uint64_t>{1});
 
-    const auto reissued =
-        runShardInProcess(scanFactory(), ec, plans[1]);
+    CampaignEngine reissuedWorker(scanFactory(), ec);
+    const auto reissued = runShard(reissuedWorker, plans[1]);
     EXPECT_TRUE(agg.fold(reissued));
     // A late duplicate delivery (the "dead" worker wasn't dead after
     // all) folds idempotently.
@@ -227,7 +228,7 @@ TEST(ShardAggregator, SignatureMismatchIsRejected)
     CampaignEngine eng2(scanFactory(), other);
     eng2.prepare();
     const auto plans = planShards(eng2.plannedSites(), 2);
-    const auto d = runShardInProcess(scanFactory(), other, plans[0]);
+    const auto d = runShard(eng2, plans[0]);
     EXPECT_THROW(agg.fold(d), ShardError);
 }
 
@@ -241,7 +242,7 @@ TEST(ShardAggregator, RangeDisagreementIsRejected)
     // A worker run with --shard-count 3 produces a range the 2-shard
     // plan never issued.
     const auto plans = planShards(orch.plannedSites(), 3);
-    const auto d = runShardInProcess(scanFactory(), ec, plans[0]);
+    const auto d = runShard(orch, plans[0]);
     EXPECT_THROW(agg.fold(d), ShardError);
 }
 
@@ -256,8 +257,9 @@ TEST(ShardAggregator, StateRoundTripResumesPendingShardsOnly)
     const auto plans = planShards(orch.plannedSites(), 3);
     ShardAggregator agg(orch.skeleton(), orch.signature(),
                         orch.plannedSites(), 3);
-    agg.fold(runShardInProcess(scanFactory(), ec, plans[0]));
-    agg.fold(runShardInProcess(scanFactory(), ec, plans[2]));
+    CampaignEngine worker(scanFactory(), ec);
+    agg.fold(runShard(worker, plans[0]));
+    agg.fold(runShard(worker, plans[2]));
     const auto state = agg.stateJson();
 
     // The orchestrator is killed; a new one restores the aggregate.
@@ -267,7 +269,7 @@ TEST(ShardAggregator, StateRoundTripResumesPendingShardsOnly)
     EXPECT_EQ(resumed.foldedShards(), 2u);
     EXPECT_EQ(resumed.pendingShards(),
               std::vector<std::uint64_t>{1});
-    resumed.fold(runShardInProcess(scanFactory(), ec, plans[1]));
+    resumed.fold(runShard(worker, plans[1]));
     EXPECT_EQ(resumed.report().toJson(), single);
 }
 
@@ -279,7 +281,7 @@ TEST(ShardAggregator, TornStateThrowsStaleStateIsIgnored)
     const auto plans = planShards(orch.plannedSites(), 2);
     ShardAggregator agg(orch.skeleton(), orch.signature(),
                         orch.plannedSites(), 2);
-    agg.fold(runShardInProcess(scanFactory(), ec, plans[0]));
+    agg.fold(runShard(orch, plans[0]));
     auto state = agg.stateJson();
 
     // Torn mid-write: hard error, never a silent restart.
@@ -625,8 +627,7 @@ TEST(ShardAggregator, CorruptHaveMarkerInStateIsDiagnosed)
     ShardAggregator agg(orch.skeleton(), orch.signature(),
                         orch.plannedSites(), 3);
     auto plans = planShards(orch.plannedSites(), 3);
-    agg.fold(runShardInProcess(scanFactory(), scanEngineCfg(),
-                               plans[0]));
+    agg.fold(runShard(orch, plans[0]));
     auto state = agg.stateJson();
     const auto pos = state.find("aggregator.have.0");
     ASSERT_NE(pos, std::string::npos);

@@ -38,6 +38,14 @@ struct BinCase
     std::unique_ptr<workloads::Workload> (*make)();
 };
 
+// Print a case as its label, so the discovered ctest names do not
+// embed gtest's byte dump of the struct's pointer fields.
+void
+PrintTo(const BinCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 // Same miniature instances (and machine shape) the golden-trace
 // suite runs, so equivalence here extends transitively to the
 // checked-in goldens.

@@ -38,6 +38,15 @@ if [ "${1:-}" = "--cli-smoke" ]; then
     expect_exit 2 "$sim" campaign SCAN --sites banana
     expect_exit 2 "$sim" campaign SCAN --checkpoint-every 0
     expect_exit 2 "$sim" campaign SCAN --strata 0
+    # Keyword flags shared by run mode and the campaign family take
+    # exactly their listed values; a bad or missing value never falls
+    # back to the default machine.
+    for mode in "" campaign; do
+        expect_exit 2 "$sim" $mode SCAN --dmr foo
+        expect_exit 2 "$sim" $mode SCAN --dmr
+        expect_exit 2 "$sim" $mode SCAN --mapping bogus
+        expect_exit 2 "$sim" $mode SCAN --sched bogus
+    done
     # serve/shard required arguments and bounds.
     expect_exit 2 "$sim" serve SCAN --sites 5
     expect_exit 2 "$sim" serve SCAN --sites 5 --shards 0

@@ -12,28 +12,24 @@
 
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
-#include <map>
-#include <mutex>
+#include <iterator>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
 #include "fault/shard.hh"
 #include "stats/accumulator.hh"
 #include "sim/chaos.hh"
-#include "sim/shard_queue.hh"
 #include "sim/stream.hh"
 #include "sim/subprocess.hh"
 #include "sim/transport.hh"
@@ -518,12 +514,10 @@ struct CampaignCli
 {
     std::string workload;
     fault::EngineConfig ec;
-    /** Campaign defaults: 4 SMs; schedulers 0 keeps the test
-     *  machine's count. */
+    /** Campaign defaults: 4 SMs. */
     MachineFlags machine = [] {
         MachineFlags m;
         m.sms = 4;
-        m.schedulers = 0;
         return m;
     }();
     unsigned size = 0;
@@ -650,6 +644,19 @@ parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
     return true;
 }
 
+/** A machine GpuConfig::validate() refuses is a usage error: its
+ *  message (already on stderr) plus the usage text, exit 2. The
+ *  bounds live in validate() alone. */
+void
+validateMachine(const arch::GpuConfig &cfg, bool campaign)
+{
+    try {
+        cfg.validate();
+    } catch (const std::runtime_error &) {
+        usageExit(campaign);
+    }
+}
+
 /** Resolve the machine knobs into the engine configuration. */
 void
 finalizeCampaignConfig(CampaignCli &c)
@@ -661,27 +668,12 @@ finalizeCampaignConfig(CampaignCli &c)
     c.ec.gpu = arch::GpuConfig::testDefault();
     c.ec.gpu.numSms = m.sms;
     c.ec.gpu.schedPolicy = m.sched;
-    if (m.schedulers)
-        c.ec.gpu.numSchedulers = m.schedulers;
+    c.ec.gpu.numSchedulers = m.schedulers;
     c.ec.gpu.memModel = m.memModel;
     c.ec.gpu.eccKind = m.ecc;
     c.ec.space.execEnabled = c.domain != Domain::Mem;
     c.ec.space.memEnabled = c.domain != Domain::Exec;
-}
-
-/** Crash-atomic text file write: tmp + rename, the same discipline
- *  as the engine's checkpoints. */
-bool
-writeTextAtomic(const std::string &path, const std::string &text)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f)
-            return false;
-        f << text;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
+    validateMachine(c.ec.gpu, true);
 }
 
 void
@@ -975,7 +967,7 @@ writeReportJson(const fault::CampaignReport &rep,
 {
     if (outPath.empty())
         return 0;
-    if (!writeTextAtomic(outPath, rep.toJson())) {
+    if (!fault::writeFileAtomic(outPath, rep.toJson())) {
         std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
         return 1;
     }
@@ -1016,7 +1008,7 @@ campaignMain(int argc, char **argv)
     fault::CampaignReport rep;
     try {
         rep = engine.run();
-    } catch (const fault::CheckpointError &e) {
+    } catch (const fault::ShardError &e) {
         std::fprintf(stderr,
                      "campaign: checkpoint %s is unusable: %s\n"
                      "  (delete it to restart from scratch, or "
@@ -1205,7 +1197,7 @@ shardMain(int argc, char **argv)
         fault::planShards(engine.plannedSites(), shardCount);
     const auto d = fault::runShard(
         engine, plans[static_cast<std::size_t>(shardIndex)]);
-    if (!writeTextAtomic(deltaOut, d.toJson())) {
+    if (!fault::writeFileAtomic(deltaOut, d.toJson())) {
         std::fprintf(stderr, "shard %llu: cannot write %s\n",
                      static_cast<unsigned long long>(shardIndex),
                      deltaOut.c_str());
@@ -1359,7 +1351,6 @@ serveMain(int argc, char **argv)
         c.ec);
     engine.prepare();
     const auto total = engine.plannedSites();
-    const auto plans = fault::planShards(total, shards);
     fault::ShardAggregator agg(engine.skeleton(), engine.signature(),
                                total, shards);
     std::printf("serve: %llu runs in %llu shards, %u worker(s), "
@@ -1369,31 +1360,22 @@ serveMain(int argc, char **argv)
                 static_cast<unsigned long long>(engine.signature()));
 
     if (!statePath.empty()) {
-        std::ifstream f(statePath);
-        if (f) {
-            std::stringstream ss;
-            ss << f.rdbuf();
-            try {
-                if (agg.loadState(ss.str()))
-                    std::printf("serve: resumed %s (%llu of %llu "
-                                "shards already folded)\n",
-                                statePath.c_str(),
-                                static_cast<unsigned long long>(
-                                    agg.foldedShards()),
-                                static_cast<unsigned long long>(
-                                    agg.totalShards()));
-            } catch (const fault::ShardError &e) {
-                std::fprintf(stderr,
-                             "serve: state %s is unusable: %s\n",
-                             statePath.c_str(), e.what());
-                return 1;
-            }
+        try {
+            if (agg.resume(statePath))
+                std::printf("serve: resumed %s (%llu of %llu shards "
+                            "already folded)\n",
+                            statePath.c_str(),
+                            static_cast<unsigned long long>(
+                                agg.foldedShards()),
+                            static_cast<unsigned long long>(
+                                agg.totalShards()));
+        } catch (const fault::ShardError &e) {
+            std::fprintf(stderr, "serve: state %s is unusable: %s\n",
+                         statePath.c_str(), e.what());
+            return 1;
         }
     }
 
-    std::mutex aggMu; // guards agg, attempts, fatal, state writes
-    std::map<std::uint64_t, unsigned> attempts;
-    bool fatal = false;
     const std::string deltaPrefix =
         statePath.empty() ? std::string("warped_serve") : statePath;
     const std::string exe = argv[0];
@@ -1434,7 +1416,7 @@ serveMain(int argc, char **argv)
                     unsigned(socketTransport->port()),
                     noLocalFallback ? " (no local fallback)" : "");
         if (!portFile.empty() &&
-            !writeTextAtomic(
+            !fault::writeFileAtomic(
                 portFile,
                 std::to_string(socketTransport->port()) + "\n")) {
             std::fprintf(stderr, "serve: cannot write %s\n",
@@ -1443,101 +1425,8 @@ serveMain(int argc, char **argv)
         }
     }
 
-    // Shards past the end of the run range (more shards than runs)
-    // produce an empty delta; fold them here rather than paying a
-    // worker's golden run for zero injections.
-    for (const auto shard : agg.pendingShards()) {
-        const auto &p = plans[static_cast<std::size_t>(shard)];
-        if (p.count == 0)
-            agg.fold(fault::runShard(engine, p));
-    }
-
-    sim::ShardQueue queue(agg.pendingShards());
-
-    auto workerLoop = [&]() {
-        while (const auto s = queue.acquire()) {
-            const auto shard = *s;
-            unsigned attempt = 0;
-            {
-                std::lock_guard<std::mutex> lk(aggMu);
-                attempt = ++attempts[shard];
-                if (fatal) {
-                    // Drain mode: a permanent failure already doomed
-                    // the campaign; retire the queue without issuing
-                    // more work.
-                    queue.ack(shard);
-                    continue;
-                }
-            }
-            const auto res = transport->runShard(shard, attempt);
-
-            bool folded = false;
-            if (res.status ==
-                sim::TransportResult::Status::Delivered) {
-                try {
-                    const auto d =
-                        fault::ShardDelta::fromJson(res.deltaJson);
-                    std::lock_guard<std::mutex> lk(aggMu);
-                    agg.fold(d);
-                    if (!statePath.empty() &&
-                        !writeTextAtomic(statePath, agg.stateJson()))
-                        warped_warn("serve: cannot write state file ",
-                                    statePath);
-                    folded = true;
-                } catch (const fault::ShardError &e) {
-                    std::fprintf(stderr,
-                                 "serve: shard %llu delta rejected: "
-                                 "%s\n",
-                                 static_cast<unsigned long long>(
-                                     shard),
-                                 e.what());
-                }
-            }
-            if (folded) {
-                queue.ack(shard);
-                continue;
-            }
-            if (res.status == sim::TransportResult::Status::Reject) {
-                // The worker derived a different configuration
-                // signature; retrying cannot help.
-                std::fprintf(stderr, "serve: shard %llu: %s\n",
-                             static_cast<unsigned long long>(shard),
-                             res.diag.c_str());
-                std::lock_guard<std::mutex> lk(aggMu);
-                fatal = true;
-                queue.ack(shard);
-                continue;
-            }
-            if (attempt >= strikes) {
-                std::fprintf(stderr,
-                             "serve: shard %llu failed %u times "
-                             "(last: %s); giving up\n",
-                             static_cast<unsigned long long>(shard),
-                             attempt,
-                             res.diag.empty() ? "delta rejected"
-                                              : res.diag.c_str());
-                std::lock_guard<std::mutex> lk(aggMu);
-                fatal = true;
-                queue.ack(shard);
-                continue;
-            }
-            std::fprintf(stderr,
-                         "serve: shard %llu attempt %u failed (%s); "
-                         "re-issuing\n",
-                         static_cast<unsigned long long>(shard),
-                         attempt,
-                         res.diag.empty() ? "delta rejected"
-                                          : res.diag.c_str());
-            queue.fail(shard);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(workerLoop);
-    for (auto &t : pool)
-        t.join();
+    const auto res = fault::dispatchShards(
+        engine, agg, *transport, {workers, strikes, statePath});
 
     if (socketTransport) {
         socketTransport->stop();
@@ -1554,7 +1443,7 @@ serveMain(int argc, char **argv)
                         socketTransport->fallbackRuns()));
     }
 
-    if (fatal || !agg.complete()) {
+    if (!res.complete) {
         std::fprintf(stderr,
                      "serve: campaign incomplete (%llu of %llu "
                      "shards folded)%s\n",
@@ -1567,10 +1456,10 @@ serveMain(int argc, char **argv)
                          : "; state file kept for resume");
         return 1;
     }
-    if (const auto r = queue.failures())
+    if (res.reissues)
         std::printf("serve: %llu shard re-issue(s) after worker "
                     "death\n",
-                    static_cast<unsigned long long>(r));
+                    static_cast<unsigned long long>(res.reissues));
 
     const auto rep = agg.report();
     printCampaignReport(rep);
@@ -1892,6 +1781,7 @@ main(int argc, char **argv)
     cfg.traceIssueLimit = o.trace;
     cfg.traceEvents = !o.traceOut.empty();
 
+    validateMachine(cfg, false);
     std::printf("%s\n", cfg.toString().c_str());
 
     if (!o.kernelFile.empty()) {

@@ -3,12 +3,11 @@
 #include <bit>
 #include <cctype>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "fault/shard.hh"
 #include "gpu/gpu.hh"
 #include "sim/run_pool.hh"
 #include "stats/accumulator.hh"
@@ -708,86 +707,6 @@ configSignature(const EngineConfig &cfg, const FaultSiteSpace &space,
     return h;
 }
 
-void
-writeCheckpoint(const std::string &path, const CampaignReport &rep,
-                std::uint64_t signature)
-{
-    // Counters only (integers round-trip exactly; every gauge is
-    // derivable from them), plus the header the loader validates.
-    // Version 2 adds a payload fingerprint so a torn or damaged file
-    // is *detected* on resume instead of silently restoring a prefix
-    // of itself.
-    auto m = rep.toMetrics();
-    trace::MetricsRegistry state;
-    state.counter("campaign.checkpoint.version") = 2;
-    state.counter("campaign.checkpoint.signature") = signature;
-    state.counter("campaign.checkpoint.fingerprint") =
-        trace::countersFingerprint(m.counters());
-    for (const auto &[k, v] : m.counters())
-        state.counter(k) = v;
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f) {
-            warped_warn("campaign: cannot write checkpoint ", tmp);
-            return;
-        }
-        f << state.toJson();
-    }
-    // Crash-atomic swap: rename(2) replaces the destination in one
-    // step, so every observable state of `path` is either the old
-    // complete checkpoint or the new complete one. (An earlier
-    // version removed the destination first — a crash in that window
-    // left no checkpoint at all.)
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        warped_warn("campaign: cannot move checkpoint into ", path);
-}
-
-/** Load @p path into @p rep; false (and an untouched report) when
- *  the file is absent or is a stale checkpoint (version or signature
- *  mismatch — warned and ignored). Throws CheckpointError when the
- *  file exists but is torn or fails its integrity fingerprint. */
-bool
-loadCheckpoint(const std::string &path, std::uint64_t signature,
-               CampaignReport &rep)
-{
-    std::ifstream f(path);
-    if (!f)
-        return false;
-    std::stringstream ss;
-    ss << f.rdbuf();
-    const std::string text = ss.str();
-    if (!trace::flatJsonComplete(text))
-        throw CheckpointError(
-            "checkpoint " + path +
-            " is truncated (no closing '}'): the previous writer "
-            "crashed mid-write; delete the file to restart from zero");
-    auto kv = trace::parseFlatCounters(text);
-
-    const auto get = [&](const char *key) -> std::uint64_t {
-        const auto it = kv.find(key);
-        return it == kv.end() ? 0 : it->second;
-    };
-    if (get("campaign.checkpoint.version") != 2 ||
-        get("campaign.checkpoint.signature") != signature) {
-        warped_warn("campaign: checkpoint ", path,
-                    " does not match this configuration; ignoring");
-        return false;
-    }
-    const auto fingerprint = get("campaign.checkpoint.fingerprint");
-    kv.erase("campaign.checkpoint.version");
-    kv.erase("campaign.checkpoint.signature");
-    kv.erase("campaign.checkpoint.fingerprint");
-    if (fingerprint != trace::countersFingerprint(kv))
-        throw CheckpointError(
-            "checkpoint " + path +
-            " fails its integrity fingerprint: the file is damaged; "
-            "delete it to restart from zero");
-
-    restoreReportCounters(kv, rep);
-    return true;
-}
-
 } // namespace
 
 void
@@ -983,48 +902,31 @@ CampaignEngine::runRange(std::uint64_t base, std::uint64_t count)
         warped_fatal("campaign: shard range [", base, ", ",
                      base + count, ") exceeds the ", planned_,
                      " planned runs");
-    sim::RunPool pool(cfg_.jobs);
-    runInto(rep, pool, base, count);
-    return rep;
-}
-
-void
-CampaignEngine::runInto(CampaignReport &rep, sim::RunPool &pool,
-                        std::uint64_t base, std::uint64_t count)
-{
     std::vector<RunRecord> records(static_cast<std::size_t>(count));
-    pool.parallelFor(static_cast<std::size_t>(count),
-                     [&](std::size_t i) {
-                         records[i] = runOne(
-                             base + i, *space_,
-                             strat_ ? &*strat_ : nullptr, span_,
-                             factory_, cfg_);
-                     });
+    sim::RunPool(cfg_.jobs).parallelFor(
+        static_cast<std::size_t>(count), [&](std::size_t i) {
+            records[i] = runOne(base + i, *space_,
+                                strat_ ? &*strat_ : nullptr, span_,
+                                factory_, cfg_);
+        });
     for (const auto &rec : records)
         fold(rep, rec);
+    return rep;
 }
 
 CampaignReport
 CampaignEngine::run()
 {
-    CampaignReport rep = skeleton();
+    prepare();
 
-    // 3. Resume from a matching checkpoint when one exists. A torn
-    //    or damaged checkpoint throws CheckpointError — see
-    //    loadCheckpoint.
-    if (!cfg_.checkpointPath.empty())
-        loadCheckpoint(cfg_.checkpointPath, signature_, rep);
-    if (rep.sampled > planned_)
-        warped_fatal("campaign: checkpoint has ", rep.sampled,
-                     " runs but only ", planned_, " are planned");
-
-    // 4. Chunked fan-out: each chunk runs on the pool, folds in
-    //    submission-index order (so the accumulated state is
-    //    worker-count-independent), then checkpoints. Nonsensical
-    //    chunk sizes are clamped (zero would never checkpoint inside
-    //    the loop; larger-than-campaign would only checkpoint at the
-    //    very end — both defeat the point of checkpointing).
-    sim::RunPool pool(cfg_.jobs);
+    // 3. Shard the plan: each shard runs on the pool, folds into the
+    //    aggregator, and the aggregator's state file is the
+    //    checkpoint — the `serve --state` format, resumed and guarded
+    //    by the same loader (a torn or damaged file throws
+    //    ShardError). Nonsensical chunk sizes are clamped (zero would
+    //    never checkpoint inside the loop; larger-than-campaign would
+    //    only checkpoint at the very end — both defeat the point of
+    //    checkpointing).
     std::uint64_t chunkSize = cfg_.checkpointEvery;
     if (chunkSize == 0) {
         warped_warn("campaign: checkpointEvery 0 would never "
@@ -1037,15 +939,28 @@ CampaignEngine::run()
                     " planned runs; clamping");
         chunkSize = planned_;
     }
+    const std::uint64_t shards =
+        std::max<std::uint64_t>(1, (planned_ + chunkSize - 1) / chunkSize);
+    ShardAggregator agg(skeleton(), signature_, planned_, shards);
+    if (!cfg_.checkpointPath.empty())
+        agg.resume(cfg_.checkpointPath);
+
+    std::vector<CampaignReport::AbortRecord> abortLog;
     std::uint64_t chunks = 0;
-    while (rep.sampled < planned_) {
-        runInto(rep, pool, rep.sampled,
-                std::min(chunkSize, planned_ - rep.sampled));
+    for (const auto shard : agg.pendingShards()) {
+        const ShardPlan &p = agg.plan(shard);
+        const CampaignReport delta = runRange(p.base, p.count);
+        for (const auto &a : delta.abortLog)
+            if (abortLog.size() < CampaignReport::kMaxAbortLog)
+                abortLog.push_back(a);
+        agg.fold(ShardDelta::of(p, signature_, delta));
         if (!cfg_.checkpointPath.empty())
-            writeCheckpoint(cfg_.checkpointPath, rep, signature_);
+            agg.save(cfg_.checkpointPath);
         if (cfg_.stopAfterChunks && ++chunks >= cfg_.stopAfterChunks)
             break;
     }
+    CampaignReport rep = agg.report();
+    rep.abortLog = std::move(abortLog);
     return rep;
 }
 

@@ -38,11 +38,13 @@
  * (sorted keys, fixed precision — byte-identical across `--jobs`
  * values and safe to diff).
  *
- * Long campaigns checkpoint periodically to a JSON state file and
- * resume from it: runs are folded in submission-index order in
- * fixed-size chunks, so the accumulated state after run k is
- * independent of the worker count, and a resumed campaign's final
- * report is byte-identical to an uninterrupted one.
+ * Long campaigns checkpoint to a JSON state file and resume from it:
+ * run() splits the plan into shards of at most
+ * EngineConfig::checkpointEvery runs and folds each into a
+ * fault::ShardAggregator, whose state file is the checkpoint (the same
+ * format `warped_sim serve --state` writes). Every statistic is a
+ * counter sum, so a resumed campaign's final report is byte-identical
+ * to an uninterrupted one at any worker count.
  */
 
 #ifndef WARPED_FAULT_CAMPAIGN_ENGINE_HH
@@ -68,22 +70,20 @@
 #include "workloads/workload.hh"
 
 namespace warped {
-namespace sim {
-class RunPool;
-}
-
 namespace fault {
 
 /**
- * A campaign state file (checkpoint or shard delta) that exists but
- * is structurally torn or fails its integrity fingerprint. Distinct
- * from a *stale* checkpoint (configuration-signature mismatch), which
- * is warned about and ignored: a torn file means the previous writer
- * crashed mid-write or the file was damaged, and silently restarting
- * from zero would destroy the very progress checkpointing exists to
- * protect — so it is an error the caller must see.
+ * A campaign state file (checkpoint, aggregator state or shard delta)
+ * that is malformed, torn, fails its integrity fingerprint, or a
+ * delta that does not belong to the campaign folding it. Distinct from
+ * a *stale* state file (written for another configuration or shard
+ * layout), which is warned about and ignored: a torn file means the
+ * previous writer crashed mid-write or the file was damaged, and
+ * silently restarting from zero would destroy the very progress
+ * checkpointing exists to protect — so it is an error the caller must
+ * see.
  */
-struct CheckpointError : std::runtime_error
+struct ShardError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
@@ -312,9 +312,9 @@ struct CampaignReport
  * @p kv leave the corresponding field untouched, so callers seed
  * @p rep with a configuration skeleton first. The breakdown labels
  * (kinds, units, memory kinds, strata) are discovered by scanning the
- * key set — no configuration needed. Shared by the checkpoint loader
- * and the shard aggregator; gauges are never restored (they are
- * derived, and toMetrics recomputes them exactly).
+ * key set — no configuration needed. The shard aggregator runs it over
+ * its summed counters; gauges are never restored (they are derived,
+ * and toMetrics recomputes them exactly).
  */
 void
 restoreReportCounters(const std::map<std::string, std::uint64_t> &kv,
@@ -328,8 +328,8 @@ using WorkloadFactory =
 /** Campaign parameters. */
 struct EngineConfig
 {
-    /** Workload label recorded in checkpoints; a resumed campaign
-     *  refuses a checkpoint written for a different label. */
+    /** Workload label mixed into the configuration signature; a
+     *  resumed campaign ignores a checkpoint written for another. */
     std::string workload;
 
     arch::GpuConfig gpu = arch::GpuConfig::testDefault();
@@ -365,12 +365,16 @@ struct EngineConfig
      *  for every value. */
     unsigned jobs = 1;
 
-    /** Checkpoint state file; empty = no checkpointing. */
+    /** Checkpoint state file (fault::ShardAggregator's state
+     *  format); empty = no checkpointing. */
     std::string checkpointPath;
-    /** Runs per fold-and-checkpoint chunk. */
+    /** Most runs per fold-and-checkpoint shard: run() plans
+     *  ceil(planned / checkpointEvery) shards. The shard count is
+     *  part of the state file's layout, so a checkpoint written under
+     *  another value is stale (warned about, then restarted). */
     std::uint64_t checkpointEvery = 1000;
     /** Test hook: stop (with a checkpoint written) after this many
-     *  chunks; 0 = run to completion. */
+     *  shards; 0 = run to completion. */
     std::uint64_t stopAfterChunks = 0;
 };
 
@@ -386,12 +390,14 @@ class CampaignEngine
     /**
      * Run the campaign (resuming from cfg.checkpointPath if the file
      * exists and matches) and return the final report. Also usable
-     * for a partial run via EngineConfig::stopAfterChunks.
+     * for a partial run via EngineConfig::stopAfterChunks, which
+     * returns the report folded so far. The abort log covers the
+     * shards run by this call only (it is not checkpointed).
      *
-     * @throws CheckpointError when cfg.checkpointPath exists but is
-     *         torn or fails its integrity fingerprint (a *stale*
-     *         checkpoint — config mismatch — is warned and ignored
-     *         instead).
+     * @throws ShardError when cfg.checkpointPath exists but is torn,
+     *         oversized or fails its integrity fingerprint (a *stale*
+     *         checkpoint — config or shard-layout mismatch — is
+     *         warned and ignored instead).
      */
     CampaignReport run();
 
@@ -436,11 +442,6 @@ class CampaignEngine
     const FaultSiteSpace &space() const { return *space_; }
 
   private:
-    /** Classify runs [base, base + count) on @p pool and fold them
-     *  into @p rep in run-index order. */
-    void runInto(CampaignReport &rep, sim::RunPool &pool,
-                 std::uint64_t base, std::uint64_t count);
-
     WorkloadFactory factory_;
     EngineConfig cfg_;
     std::uint64_t planned_ = 0;

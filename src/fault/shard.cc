@@ -1,6 +1,13 @@
 #include "fault/shard.hh"
 
+#include <cstdio>
+#include <fstream>
+#include <mutex>
+#include <thread>
+
 #include "common/logging.hh"
+#include "sim/shard_queue.hh"
+#include "sim/transport.hh"
 #include "trace/metrics.hh"
 
 namespace warped {
@@ -92,6 +99,16 @@ parseHaveIndex(const std::string &key, std::uint64_t &idx)
 
 } // namespace
 
+bool
+writeFileAtomic(const std::string &path, const std::string &text)
+{
+    const std::string tmp = path + ".tmp";
+    std::ofstream f(tmp);
+    f << text;
+    f.close(); // a failed flush must not be renamed into place
+    return f && std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
 std::vector<ShardPlan>
 planShards(std::uint64_t total_runs, std::uint64_t shard_count)
 {
@@ -169,16 +186,23 @@ ShardDelta::fromJson(const std::string &text)
 }
 
 ShardDelta
-runShard(CampaignEngine &engine, const ShardPlan &plan)
+ShardDelta::of(const ShardPlan &plan, std::uint64_t signature,
+               const CampaignReport &delta)
 {
     ShardDelta d;
-    d.counters =
-        engine.runRange(plan.base, plan.count).toMetrics().counters();
     d.shard = plan.index;
     d.base = plan.base;
     d.count = plan.count;
-    d.signature = engine.signature();
+    d.signature = signature;
+    d.counters = delta.toMetrics().counters();
     return d;
+}
+
+ShardDelta
+runShard(CampaignEngine &engine, const ShardPlan &plan)
+{
+    return ShardDelta::of(plan, engine.signature(),
+                          engine.runRange(plan.base, plan.count));
 }
 
 ShardAggregator::ShardAggregator(CampaignReport skeleton,
@@ -235,20 +259,9 @@ ShardAggregator::pendingShards() const
     return out;
 }
 
-std::uint64_t
-ShardAggregator::sampled() const
-{
-    const auto it = sum_.find("campaign.sampled");
-    return it == sum_.end() ? 0 : it->second;
-}
-
 CampaignReport
 ShardAggregator::report() const
 {
-    if (!complete())
-        throw ShardError("campaign incomplete: " +
-                         std::to_string(shardCount_ - folded_) +
-                         " shard(s) still pending");
     CampaignReport rep = skel_;
     restoreReportCounters(sum_, rep);
     return rep;
@@ -291,8 +304,12 @@ ShardAggregator::loadState(const std::string &text)
         get("aggregator.signature") != signature_ ||
         get("aggregator.total_runs") != totalRuns_ ||
         get("aggregator.shard_count") != shardCount_) {
-        warped_warn("serve: aggregator state does not match this "
-                    "campaign; ignoring");
+        // Unconditional (not warped_warn, which quiet CLIs mute), as in
+        // save(): lost progress is something the operator must see.
+        std::fprintf(stderr,
+                     "warn: campaign state was written for another "
+                     "configuration or shard layout; ignoring it and "
+                     "starting from zero\n");
         return false;
     }
     const auto fingerprint = get("aggregator.fingerprint");
@@ -328,6 +345,124 @@ ShardAggregator::loadState(const std::string &text)
     for (const auto b : have_)
         folded_ += b ? 1 : 0;
     return true;
+}
+
+bool
+ShardAggregator::resume(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    if (!f)
+        return false;
+    // One byte past the bound is enough for loadState to refuse an
+    // oversized file without reading all of it.
+    std::string text;
+    char buf[1 << 16];
+    while (text.size() <= kMaxDocumentBytes &&
+           (f.read(buf, sizeof buf), f.gcount() > 0))
+        text.append(buf, static_cast<std::size_t>(f.gcount()));
+    return loadState(text);
+}
+
+void
+ShardAggregator::save(const std::string &path) const
+{
+    if (!writeFileAtomic(path, stateJson()))
+        std::fprintf(stderr, "warn: cannot write campaign state file %s\n",
+                     path.c_str());
+}
+
+DispatchResult
+dispatchShards(CampaignEngine &engine, ShardAggregator &agg,
+               sim::Transport &transport, const DispatchConfig &cfg)
+{
+    // Shards past the end of the run range (more shards than runs)
+    // produce an empty delta; fold them here rather than paying a
+    // worker's golden run for zero injections.
+    for (const auto shard : agg.pendingShards())
+        if (agg.plan(shard).count == 0)
+            agg.fold(runShard(engine, agg.plan(shard)));
+
+    sim::ShardQueue queue(agg.pendingShards());
+    std::mutex mu; // guards agg, attempts, fatal and the state file
+    std::map<std::uint64_t, unsigned> attempts;
+    bool fatal = false;
+    const auto giveUp = [&](std::uint64_t shard) {
+        std::lock_guard<std::mutex> lk(mu);
+        fatal = true;
+        queue.ack(shard);
+    };
+
+    const auto workerLoop = [&] {
+        while (const auto s = queue.acquire()) {
+            const auto shard = *s;
+            const auto id = static_cast<unsigned long long>(shard);
+            unsigned attempt = 0;
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                attempt = ++attempts[shard];
+                if (fatal) {
+                    // Drain mode: the campaign is already given up;
+                    // retire the queue without issuing more work.
+                    queue.ack(shard);
+                    continue;
+                }
+            }
+            // A transport that throws (say, fork failed) failed this
+            // attempt; letting it escape the thread would end the
+            // process.
+            sim::TransportResult res;
+            try {
+                res = transport.runShard(shard, attempt);
+            } catch (const std::exception &e) {
+                res.diag = e.what();
+            }
+            if (res.status == sim::TransportResult::Status::Delivered) {
+                try {
+                    const auto d = ShardDelta::fromJson(res.deltaJson);
+                    std::lock_guard<std::mutex> lk(mu);
+                    agg.fold(d);
+                    if (!cfg.statePath.empty())
+                        agg.save(cfg.statePath);
+                    queue.ack(shard);
+                    continue;
+                } catch (const ShardError &e) {
+                    std::fprintf(stderr,
+                                 "dispatch: shard %llu delta rejected: "
+                                 "%s\n",
+                                 id, e.what());
+                }
+            }
+            const char *why =
+                res.diag.empty() ? "delta rejected" : res.diag.c_str();
+            if (res.status == sim::TransportResult::Status::Reject) {
+                // The worker derived a different configuration
+                // signature; retrying cannot help.
+                std::fprintf(stderr, "dispatch: shard %llu: %s\n", id,
+                             why);
+                giveUp(shard);
+            } else if (attempt >= cfg.strikes) {
+                std::fprintf(stderr,
+                             "dispatch: shard %llu failed %u times "
+                             "(last: %s); giving up\n",
+                             id, attempt, why);
+                giveUp(shard);
+            } else {
+                std::fprintf(stderr,
+                             "dispatch: shard %llu attempt %u failed "
+                             "(%s); re-issuing\n",
+                             id, attempt, why);
+                queue.fail(shard);
+            }
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(cfg.workers);
+    for (unsigned w = 0; w < cfg.workers; ++w)
+        pool.emplace_back(workerLoop);
+    for (auto &t : pool)
+        t.join();
+    return {!fatal && agg.complete(), queue.failures()};
 }
 
 } // namespace fault

@@ -9,7 +9,7 @@
  * proves the derivation matched), runs its shard's range
  * (CampaignEngine::runRange) and serializes the resulting delta
  * report as a ShardDelta — a flat counter document with a header and
- * an integrity fingerprint, the same shape as a campaign checkpoint.
+ * an integrity fingerprint.
  *
  * The orchestrator folds deltas into a ShardAggregator in ANY order:
  * every campaign statistic is an associative counter sum, so the
@@ -19,17 +19,23 @@
  * simply run again; the re-issued delta is bit-identical because the
  * site drawn for run i is a pure function of (seed, i)). When every
  * shard has been folded, report() reconstructs the CampaignReport
- * from the summed counters exactly as the checkpoint loader does, so
- * the final JSON is byte-identical to a single-process run.
+ * from the summed counters (restoreReportCounters), so the final JSON
+ * is byte-identical to a single-process run.
  *
  * Keys that are configuration echo rather than accumulated state
  * (campaign.span, campaign.space.size, campaign.strata.*) are taken
  * from the orchestrator's own skeleton and skipped during summation.
  *
- * The aggregator itself checkpoints (stateJson/loadState, with the
- * same tmp+rename crash-atomic write discipline and fingerprint
- * validation), so a killed orchestrator resumes with only the
+ * The aggregator's state file (save/resume) is the one campaign
+ * checkpoint format: `warped_sim serve --state` and
+ * CampaignEngine::run()'s `--checkpoint` both write it crash-atomically
+ * (writeFileAtomic) and resume through the same bounded, fingerprinted
+ * loader, so a killed orchestrator or campaign resumes with only the
  * not-yet-folded shards outstanding.
+ *
+ * dispatchShards is the orchestrator's loop: it hands pending shards
+ * to a sim::Transport from a pool of dispatcher threads, folds each
+ * delivered delta, writes the state file and re-issues failed shards.
  */
 
 #ifndef WARPED_FAULT_SHARD_HH
@@ -37,20 +43,22 @@
 
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/campaign_engine.hh"
 
 namespace warped {
+namespace sim {
+class Transport;
+}
+
 namespace fault {
 
-/** A malformed, torn, or mismatched shard delta / aggregator state. */
-struct ShardError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
+/** Crash-atomic write of every campaign file (state, delta, report,
+ *  port file): `<path>.tmp`, then rename(2), so @p path is always the
+ *  old or the new complete file. False when it cannot be written. */
+bool writeFileAtomic(const std::string &path, const std::string &text);
 
 /** One shard's contiguous run-index range. */
 struct ShardPlan
@@ -82,6 +90,11 @@ struct ShardDelta
     std::uint64_t signature = 0;
     /** The delta report's counters (CampaignReport::toMetrics). */
     std::map<std::string, std::uint64_t> counters;
+
+    /** Package @p delta, the runRange report of @p plan, for a
+     *  campaign with configuration signature @p signature. */
+    static ShardDelta of(const ShardPlan &plan, std::uint64_t signature,
+                         const CampaignReport &delta);
 
     /** Flat JSON document: shard.* header keys (version, indices,
      *  signature, payload fingerprint) followed by the counters. */
@@ -129,25 +142,35 @@ class ShardAggregator
     /** Shard indices not folded yet, ascending. */
     std::vector<std::uint64_t> pendingShards() const;
 
-    /** The reconstructed campaign report.
-     *  @throws ShardError unless complete(). */
+    /** Shard @p shard's run range in the plan (shard < totalShards). */
+    const ShardPlan &plan(std::uint64_t shard) const
+    {
+        return plan_[static_cast<std::size_t>(shard)];
+    }
+
+    /** The campaign report reconstructed from the shards folded so
+     *  far — the final report once complete(). */
     CampaignReport report() const;
 
-    /** Runs folded so far (sum of shard counts). */
-    std::uint64_t sampled() const;
-
-    /** Aggregator state as a flat JSON document (crash-safe resume
-     *  surface for the orchestrator; fingerprinted like a
-     *  checkpoint). */
+    /** Aggregator state as a flat JSON document: header, folded-
+     *  shard markers, payload fingerprint and the summed counters. */
     std::string stateJson() const;
 
     /**
      * Restore a stateJson document. A state written for a different
      * signature / shard layout is warned about and ignored (returns
-     * false) — the stale-checkpoint semantics; a torn or damaged
-     * document throws ShardError.
+     * false) — the stale-checkpoint semantics; a torn, oversized or
+     * damaged document throws ShardError.
      */
     bool loadState(const std::string &text);
+
+    /** loadState() on the file at @p path, read no further than the
+     *  document bound; false when there is no such file. */
+    bool resume(const std::string &path);
+
+    /** writeFileAtomic(@p path, stateJson()); warns on stderr on
+     *  failure (the campaign goes on; the last good file stays). */
+    void save(const std::string &path) const;
 
   private:
     CampaignReport skel_;
@@ -159,6 +182,35 @@ class ShardAggregator
     std::vector<bool> have_;
     std::map<std::string, std::uint64_t> sum_;
 };
+
+/** The dispatcher's knobs (the `serve` flags of the same names). */
+struct DispatchConfig
+{
+    unsigned workers = 1; ///< dispatcher threads
+    unsigned strikes = 3; ///< failed attempts that give a shard up
+    std::string statePath; ///< saved after every fold; empty = none
+};
+
+struct DispatchResult
+{
+    bool complete = false; ///< every shard folded, none given up
+    std::uint64_t reissues = 0; ///< failed attempts re-issued
+};
+
+/**
+ * Run @p agg's pending shards over @p transport. Shards with no runs
+ * are folded locally (runShard on @p engine). The rest go through a
+ * sim::ShardQueue served by cfg.workers threads: a Delivered delta is
+ * parsed, folded and the state saved; a Failed or throwing attempt or a
+ * bad delta is re-issued until the shard's cfg.strikes-th failure; that, or a
+ * Reject (the worker derived another configuration), gives the
+ * campaign up and the queue drains without issuing more work.
+ * Diagnostics go to stderr.
+ */
+DispatchResult dispatchShards(CampaignEngine &engine,
+                              ShardAggregator &agg,
+                              sim::Transport &transport,
+                              const DispatchConfig &cfg);
 
 } // namespace fault
 } // namespace warped

@@ -2,9 +2,9 @@
  * @file
  * sim::Transport — how a shard gets executed somewhere else.
  *
- * The campaign orchestrator (warped_sim serve) dispatches shard
- * indices over a ShardQueue; a Transport turns one index into one
- * delta document, by whatever mechanism:
+ * The campaign orchestrator (fault::dispatchShards, behind `warped_sim
+ * serve`) dispatches shard indices over a ShardQueue; a Transport
+ * turns one index into one delta document, by whatever mechanism:
  *
  *   - SubprocessTransport: fork/exec `warped_sim shard ...` and read
  *     the delta file back (the PR-9 path, now with a per-shard

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include "mem/mem_fault.hh"
 #include "protection/scheme_registry.hh"
 #include "stats/confidence.hh"
+#include "trace/metrics.hh"
 
 using namespace warped;
 using namespace warped::fault;
@@ -396,7 +398,7 @@ TEST(CampaignEngine, TornCheckpointIsAHardError)
 
     ec.stopAfterChunks = 0;
     EXPECT_THROW(CampaignEngine(scanFactory(), ec).run(),
-                 CheckpointError);
+                 ShardError);
     std::remove(ckpt.c_str());
 }
 
@@ -422,7 +424,70 @@ TEST(CampaignEngine, TamperedCheckpointFailsItsFingerprint)
 
     ec.stopAfterChunks = 0;
     EXPECT_THROW(CampaignEngine(scanFactory(), ec).run(),
-                 CheckpointError);
+                 ShardError);
+    std::remove(ckpt.c_str());
+}
+
+TEST(CampaignEngine, OversizedCounterKeyInCheckpointIsRefused)
+{
+    const std::string ckpt =
+        testing::TempDir() + "warped_campaign_bigkey.json";
+    std::remove(ckpt.c_str());
+
+    auto ec = scanEngineCfg();
+    ec.checkpointPath = ckpt;
+    ec.checkpointEvery = 10;
+    ec.stopAfterChunks = 1;
+    CampaignEngine(scanFactory(), ec).run();
+
+    // A 5 KiB counter key (damaged quoting fuses text into one key)
+    // under a fingerprint recomputed to match: the key bound refuses
+    // the file before anything in it is trusted.
+    auto kv = trace::parseFlatCounters(slurp(ckpt));
+    kv[std::string(5 * 1024, 'k')] = 1;
+    std::map<std::string, std::uint64_t> payload;
+    for (const auto &[k, v] : kv)
+        if (k.compare(0, 11, "aggregator.") != 0)
+            payload[k] = v;
+    kv["aggregator.fingerprint"] = trace::countersFingerprint(payload);
+    trace::MetricsRegistry doc;
+    for (const auto &[k, v] : kv)
+        doc.counter(k) = v;
+    spill(ckpt, doc.toJson());
+
+    ec.stopAfterChunks = 0;
+    EXPECT_THROW(CampaignEngine(scanFactory(), ec).run(), ShardError);
+    std::remove(ckpt.c_str());
+}
+
+TEST(CampaignEngine, DifferentCheckpointEveryWarnsAndRestarts)
+{
+    const std::string ckpt =
+        testing::TempDir() + "warped_campaign_every.json";
+    std::remove(ckpt.c_str());
+
+    auto ec = scanEngineCfg();
+    const auto full = CampaignEngine(scanFactory(), ec).run();
+    ec.checkpointPath = ckpt;
+    ec.checkpointEvery = 10;
+    ec.stopAfterChunks = 1;
+    CampaignEngine(scanFactory(), ec).run();
+
+    // The shard count is the state file's layout: 15 runs per shard
+    // is another layout, so the 10 saved runs are discarded (a resume
+    // would have carried them to 25).
+    ec.checkpointEvery = 15;
+    testing::internal::CaptureStderr();
+    const auto restarted = CampaignEngine(scanFactory(), ec).run();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(restarted.sampled, 15u);
+    EXPECT_NE(err.find("ignoring it and starting from zero"),
+              std::string::npos);
+
+    // Under the new layout the campaign resumes as usual.
+    ec.stopAfterChunks = 0;
+    EXPECT_EQ(CampaignEngine(scanFactory(), ec).run().toJson(),
+              full.toJson());
     std::remove(ckpt.c_str());
 }
 

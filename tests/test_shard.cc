@@ -3,7 +3,8 @@
  * Unit tests: the sharded campaign service — shard planning, the
  * delta protocol, aggregator determinism under every shard count and
  * failure schedule, the crash-safe aggregator state, the dispatch
- * queue, and the stratified estimator's degenerate-stratum edges.
+ * queue, the dispatcher over a scripted in-process transport, and the
+ * stratified estimator's degenerate-stratum edges.
  *
  * The headline invariant: for ANY disjoint cover of the run range,
  * folding the shard deltas in ANY order, with duplicates and
@@ -16,8 +17,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "fault/shard.hh"
 #include "fault/stratified.hh"
 #include "sim/shard_queue.hh"
+#include "sim/transport.hh"
 #include "stats/accumulator.hh"
 
 using namespace warped;
@@ -638,4 +642,217 @@ TEST(ShardAggregator, CorruptHaveMarkerInStateIsDiagnosed)
     ShardAggregator fresh(orch.skeleton(), orch.signature(),
                           orch.plannedSites(), 3);
     EXPECT_THROW(fresh.loadState(state), ShardError);
+}
+
+// ---------------------------------------------------------------------
+// fault::dispatchShards over a scripted in-process transport
+
+namespace {
+
+enum class Act
+{
+    Deliver,
+    Fail,
+    Reject,
+    Garbage,
+    Throw,
+};
+
+/**
+ * A sim::Transport that answers each (shard, attempt) as scripted —
+ * the shard's real delta (default), a failure, a permanent refusal,
+ * a torn delta document or an exception — and records every call it
+ * saw. The real
+ * deltas are computed up front on a worker engine, so the dispatcher
+ * threads only read them.
+ */
+class ScriptedTransport : public sim::Transport
+{
+  public:
+    ScriptedTransport(const EngineConfig &ec, std::uint64_t shard_count,
+                      std::map<std::pair<std::uint64_t, unsigned>, Act>
+                          script = {})
+        : script_(std::move(script))
+    {
+        CampaignEngine worker(scanFactory(), ec);
+        worker.prepare();
+        for (const auto &p : planShards(worker.plannedSites(), shard_count))
+            deltas_.push_back(fault::runShard(worker, p).toJson());
+    }
+
+    sim::TransportResult runShard(std::uint64_t shard,
+                                  unsigned attempt) override
+    {
+        Act act = Act::Deliver;
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            seen_.push_back({shard, attempt});
+            const auto it = script_.find({shard, attempt});
+            if (it != script_.end())
+                act = it->second;
+        }
+        sim::TransportResult r;
+        const std::string &json = deltas_.at(static_cast<std::size_t>(shard));
+        switch (act) {
+          case Act::Deliver:
+            r.status = sim::TransportResult::Status::Delivered;
+            r.deltaJson = json;
+            break;
+          case Act::Garbage:
+            r.status = sim::TransportResult::Status::Delivered;
+            r.deltaJson = json.substr(0, json.size() / 2);
+            break;
+          case Act::Fail:
+            r.diag = "scripted failure";
+            break;
+          case Act::Reject:
+            r.status = sim::TransportResult::Status::Reject;
+            r.diag = "scripted reject";
+            break;
+          case Act::Throw:
+            throw std::runtime_error("scripted exception");
+        }
+        return r;
+    }
+
+    std::string describe() const override { return "scripted"; }
+
+    /** Every (shard, attempt) issued, sorted. */
+    std::vector<std::pair<std::uint64_t, unsigned>> seen() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto out = seen_;
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+  private:
+    std::map<std::pair<std::uint64_t, unsigned>, Act> script_;
+    std::vector<std::string> deltas_;
+    mutable std::mutex mu_;
+    std::vector<std::pair<std::uint64_t, unsigned>> seen_;
+};
+
+/** Dispatch a fresh @p shard_count-shard aggregator over @p t. */
+std::pair<DispatchResult, ShardAggregator>
+dispatchScan(ScriptedTransport &t, std::uint64_t shard_count,
+             const DispatchConfig &cfg)
+{
+    CampaignEngine orch(scanFactory(), scanEngineCfg());
+    orch.prepare();
+    ShardAggregator agg(orch.skeleton(), orch.signature(),
+                        orch.plannedSites(), shard_count);
+    if (!cfg.statePath.empty())
+        agg.resume(cfg.statePath);
+    const auto res = dispatchShards(orch, agg, t, cfg);
+    return {res, agg};
+}
+
+std::string
+singleProcessJson()
+{
+    return CampaignEngine(scanFactory(), scanEngineCfg()).run().toJson();
+}
+
+using Seen = std::vector<std::pair<std::uint64_t, unsigned>>;
+
+} // namespace
+
+TEST(ShardDispatch, FailedAttemptIsReissuedAndTheReportMatchesRun)
+{
+    ScriptedTransport t(scanEngineCfg(), 3,
+                        {{{1, 1}, Act::Fail}, {{2, 1}, Act::Throw}});
+    const auto [res, agg] = dispatchScan(t, 3, {});
+    EXPECT_TRUE(res.complete);
+    EXPECT_EQ(res.reissues, 2u);
+    EXPECT_EQ(t.seen(),
+              (Seen{{0, 1}, {1, 1}, {1, 2}, {2, 1}, {2, 2}}));
+    EXPECT_EQ(agg.report().toJson(), singleProcessJson());
+}
+
+TEST(ShardDispatch, GarbageDeltaCountsAsAFailedAttempt)
+{
+    ScriptedTransport t(scanEngineCfg(), 3, {{{0, 1}, Act::Garbage}});
+    const auto [res, agg] = dispatchScan(t, 3, {});
+    EXPECT_TRUE(res.complete);
+    EXPECT_EQ(res.reissues, 1u);
+    EXPECT_EQ(t.seen(), (Seen{{0, 1}, {0, 2}, {1, 1}, {2, 1}}));
+    EXPECT_EQ(agg.report().toJson(), singleProcessJson());
+}
+
+TEST(ShardDispatch, NthStrikeEndsTheCampaignIncomplete)
+{
+    ScriptedTransport t(scanEngineCfg(), 3,
+                        {{{2, 1}, Act::Fail}, {{2, 2}, Act::Garbage}});
+    DispatchConfig cfg;
+    cfg.strikes = 2;
+    const auto [res, agg] = dispatchScan(t, 3, cfg);
+    EXPECT_FALSE(res.complete);
+    EXPECT_FALSE(agg.complete());
+    EXPECT_FALSE(agg.has(2));
+    EXPECT_EQ(t.seen(), (Seen{{0, 1}, {1, 1}, {2, 1}, {2, 2}}));
+}
+
+TEST(ShardDispatch, RejectIsFatal)
+{
+    // Shard 0's worker refuses; with one dispatcher thread the queue
+    // then drains without issuing shards 1 and 2.
+    ScriptedTransport t(scanEngineCfg(), 3, {{{0, 1}, Act::Reject}});
+    const auto [res, agg] = dispatchScan(t, 3, {});
+    EXPECT_FALSE(res.complete);
+    EXPECT_EQ(agg.foldedShards(), 0u);
+    EXPECT_EQ(t.seen(), (Seen{{0, 1}}));
+}
+
+TEST(ShardDispatch, ResumeIssuesOnlyThePendingShards)
+{
+    const std::string state =
+        testing::TempDir() + "warped_dispatch_state.json";
+    std::remove(state.c_str());
+    DispatchConfig cfg;
+    cfg.strikes = 1;
+    cfg.statePath = state;
+
+    // The last shard fails its only allowed attempt: with one
+    // dispatcher thread shards 0-2 are folded and saved first.
+    ScriptedTransport first(scanEngineCfg(), 4, {{{3, 1}, Act::Fail}});
+    const auto [res1, agg1] = dispatchScan(first, 4, cfg);
+    EXPECT_FALSE(res1.complete);
+    EXPECT_EQ(agg1.pendingShards(), std::vector<std::uint64_t>{3});
+
+    // A new orchestrator resumes the state file and issues shard 3
+    // alone.
+    ScriptedTransport second(scanEngineCfg(), 4);
+    const auto [res2, agg2] = dispatchScan(second, 4, cfg);
+    EXPECT_TRUE(res2.complete);
+    EXPECT_EQ(second.seen(), (Seen{{3, 1}}));
+    EXPECT_EQ(agg2.report().toJson(), singleProcessJson());
+    std::remove(state.c_str());
+}
+
+TEST(ShardDispatch, FourWorkersGiveTheSameBytes)
+{
+    ScriptedTransport t(scanEngineCfg(), 8,
+                        {{{1, 1}, Act::Fail},
+                         {{4, 1}, Act::Garbage},
+                         {{4, 2}, Act::Fail},
+                         {{6, 1}, Act::Fail}});
+    DispatchConfig cfg;
+    cfg.workers = 4;
+    const auto [res, agg] = dispatchScan(t, 8, cfg);
+    EXPECT_TRUE(res.complete);
+    EXPECT_EQ(res.reissues, 4u);
+    EXPECT_EQ(agg.report().toJson(), singleProcessJson());
+}
+
+TEST(ShardDispatch, EmptyShardsAreFoldedWithoutTheTransport)
+{
+    // 30 runs in 32 shards: shards 30 and 31 have no runs.
+    ScriptedTransport t(scanEngineCfg(), 32);
+    const auto [res, agg] = dispatchScan(t, 32, {});
+    EXPECT_TRUE(res.complete);
+    const auto seen = t.seen();
+    EXPECT_EQ(seen.size(), 30u);
+    EXPECT_EQ(seen.back(), (std::pair<std::uint64_t, unsigned>{29, 1}));
+    EXPECT_EQ(agg.report().toJson(), singleProcessJson());
 }

@@ -46,6 +46,12 @@ if [ "${1:-}" = "--cli-smoke" ]; then
         expect_exit 2 "$sim" $mode SCAN --dmr
         expect_exit 2 "$sim" $mode SCAN --mapping bogus
         expect_exit 2 "$sim" $mode SCAN --sched bogus
+        # A machine GpuConfig::validate() refuses is a usage error,
+        # not an abort (and campaign --schedulers 0 no longer means
+        # "keep the default").
+        expect_exit 2 "$sim" $mode SCAN --sms 0
+        expect_exit 2 "$sim" $mode SCAN --schedulers 0
+        expect_exit 2 "$sim" $mode SCAN --schedulers 5
     done
     # serve/shard required arguments and bounds.
     expect_exit 2 "$sim" serve SCAN --sites 5
